@@ -40,11 +40,6 @@ FleetConfig BaseFleetConfig(const ScenarioParams& params, int replicas,
                     static_cast<uint64_t>(policy);
   cfg.autoscaler.max_replicas = replicas;
   cfg.make_model = InferResNet50;
-  // `--sim-threads N` lands here: N > 1 shards the fleet into per-replica
-  // logical processes with byte-identical results (see fleet_engine.h).
-  cfg.sim_threads = params.GetInt("sim_threads", 1);
-  cfg.sim_perturb_seed =
-      static_cast<uint64_t>(params.GetInt("sim_perturb_seed", 0));
   return cfg;
 }
 

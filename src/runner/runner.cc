@@ -241,10 +241,6 @@ int BenchUsage() {
                "  --golden[=DIR] compare against golden files "
                "(default bench/golden)\n"
                "  --param k=v    forward a parameter to every scenario\n"
-               "  --sim-threads=N  worker threads INSIDE one simulation for\n"
-               "                 scenarios with sharded engines (fleet_*,\n"
-               "                 cluster_*); results are byte-identical to\n"
-               "                 N=1 (shorthand for --param sim_threads=N)\n"
                "  --perf         wall-clock harness: warm-up + timed repeats,\n"
                "                 emits BENCH_sim_perf.json (see src/runner/"
                "perf.h)\n"
@@ -351,10 +347,6 @@ int BenchMain(int argc, char** argv) {
     } else if (arg == "snapshot") {
       const std::string p = next_value();
       snapshot_path = p.empty() ? kDefaultSnapshotPath : p;
-    } else if (arg == "sim-threads") {
-      // Sugar for --param sim_threads=N: intra-scenario parallelism for
-      // engines that support sharded simulation (fleet_*, cluster_*).
-      opts.params.Set("sim_threads", next_value());
     } else if (arg == "param") {
       const std::string kv = next_value();
       const size_t split = kv.find('=');

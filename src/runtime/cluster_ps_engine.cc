@@ -2,16 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
 
 #include "src/common/check.h"
 #include "src/common/rng.h"
-#include "src/hw/comm_channel.h"
 #include "src/hw/gpu.h"
+#include "src/hw/link.h"
 #include "src/sim/engine.h"
-#include "src/sim/sharded.h"
 
 namespace oobp {
 
@@ -121,10 +121,8 @@ ClusterPsMetrics ClusterPsEngine::Run(const NnModel& model) const {
                static_cast<double>(bytes) * W / config_.server_agg_gbps));
   };
 
-  // Logical processes: worker w -> LP w, parameter server -> LP W.
-  ShardedSim shard(W + 1, config_.sim_threads);
-  shard.SetPerturbSeed(config_.sim_perturb_seed);
-  SimEngine* server = shard.lp(W);
+  // Every worker, the parameter server and all links share one engine.
+  SimEngine engine;
 
   struct Worker {
     std::unique_ptr<Gpu> gpu;
@@ -138,17 +136,18 @@ ClusterPsMetrics ClusterPsEngine::Run(const NnModel& model) const {
     std::vector<TimeNs> upd_done;              // all updates in, per iter
     TimeNs wait_since = -1;
     TimeNs stall = 0;
+    int64_t pushed_bytes = 0;  // gradient bytes submitted on the uplink
   };
   std::vector<Worker> workers(static_cast<size_t>(W));
-  std::vector<std::unique_ptr<CommChannel>> up;      // worker -> server
-  std::vector<std::unique_ptr<CommChannel>> down;    // server -> worker
+  std::vector<std::unique_ptr<Link>> up;    // worker -> server
+  std::vector<std::unique_ptr<Link>> down;  // server -> worker
   // arrived[t][l]: gradient copies at the server for (iteration, layer).
   std::vector<std::vector<int>> arrived(
       static_cast<size_t>(T), std::vector<int>(static_cast<size_t>(layers)));
 
   for (int w = 0; w < W; ++w) {
     Worker& wk = workers[static_cast<size_t>(w)];
-    wk.gpu = std::make_unique<Gpu>(shard.lp(w), config_.gpu);
+    wk.gpu = std::make_unique<Gpu>(&engine, config_.gpu);
     wk.stream = wk.gpu->CreateStream(/*priority=*/0);
     wk.factor = 1.0 + config_.straggler_spread *
                           Rng(config_.straggler_seed +
@@ -158,15 +157,23 @@ ClusterPsMetrics ClusterPsEngine::Run(const NnModel& model) const {
                         std::vector<char>(static_cast<size_t>(layers), 0));
     wk.upd_count.assign(static_cast<size_t>(T), 0);
     wk.upd_done.assign(static_cast<size_t>(T), -1);
-    up.push_back(std::make_unique<CommChannel>(shard.lp(w), /*src_lp=*/w,
-                                               /*dst_lp=*/W, config_.uplink));
-    down.push_back(std::make_unique<CommChannel>(server, /*src_lp=*/W,
-                                                 /*dst_lp=*/w,
-                                                 config_.downlink));
+    up.push_back(std::make_unique<Link>(&engine, config_.uplink));
+    down.push_back(std::make_unique<Link>(&engine, config_.downlink));
   }
 
-  // try_issue runs in worker w's LP context (its kernel-done listener or an
-  // update delivery) and touches only that worker's state.
+  // Submits `bytes` on `link`. `on_delivered` runs as a separate event at
+  // the transfer's completion time, after the link's completion bookkeeping;
+  // bench/perf_baseline.json pins that event in the scenario event counts.
+  auto send = [&engine](Link& link, int64_t bytes, int priority,
+                        std::function<void()> on_delivered) {
+    link.Transfer(bytes, priority, /*name=*/"",
+                  [&engine, cb = std::move(on_delivered)]() mutable {
+                    engine.ScheduleAt(engine.now(), std::move(cb));
+                  });
+  };
+
+  // try_issue runs from worker w's kernel-done listener or an update
+  // delivery and touches only that worker's state.
   std::function<void(int)> try_issue = [&](int w) {
     Worker& wk = workers[static_cast<size_t>(w)];
     if (wk.iter >= T || wk.outstanding >= 0) {
@@ -174,17 +181,16 @@ ClusterPsMetrics ClusterPsEngine::Run(const NnModel& model) const {
     }
     const OpRef& op = program[wk.pc];
     const Layer& layer = model.layers[static_cast<size_t>(op.layer)];
-    SimEngine* eng = shard.lp(w);
     if (op.type == PsOp::kForward && wk.iter > 0 && layer.has_params() &&
         wk.upd_ready[static_cast<size_t>(wk.iter - 1)]
                     [static_cast<size_t>(op.layer)] == 0) {
       if (wk.wait_since < 0) {
-        wk.wait_since = eng->now();  // forward blocked on a parameter update
+        wk.wait_since = engine.now();  // forward blocked on a parameter update
       }
       return;
     }
     if (wk.wait_since >= 0) {
-      wk.stall += eng->now() - wk.wait_since;
+      wk.stall += engine.now() - wk.wait_since;
       wk.wait_since = -1;
     }
     const KernelCost& base = base_cost(op);
@@ -195,23 +201,23 @@ ClusterPsMetrics ClusterPsEngine::Run(const NnModel& model) const {
     wk.outstanding = wk.gpu->Enqueue(wk.stream, std::move(desc));
   };
 
-  // Server-side aggregation, running in the server LP: once all W copies of
-  // (t, l) arrive, pay the reduction cost and broadcast the update.
+  // Server-side aggregation: once all W copies of (t, l) arrive, pay the
+  // reduction cost and broadcast the update.
   std::function<void(int, int)> on_grad = [&](int t, int l) {
     if (++arrived[static_cast<size_t>(t)][static_cast<size_t>(l)] != W) {
       return;
     }
     const int64_t bytes =
         model.layers[static_cast<size_t>(l)].param_bytes;
-    server->ScheduleAfter(agg_ns(bytes), [&, t, l, bytes] {
+    engine.ScheduleAfter(agg_ns(bytes), [&, t, l, bytes] {
       for (int w = 0; w < W; ++w) {
-        down[static_cast<size_t>(w)]->Send(
-            bytes, push_priority(l), /*name=*/"", [&, w, t, l] {
+        send(*down[static_cast<size_t>(w)], bytes, push_priority(l),
+             [&, w, t, l] {
               Worker& wk = workers[static_cast<size_t>(w)];
               wk.upd_ready[static_cast<size_t>(t)]
                           [static_cast<size_t>(l)] = 1;
               if (++wk.upd_count[static_cast<size_t>(t)] == param_layers) {
-                wk.upd_done[static_cast<size_t>(t)] = shard.lp(w)->now();
+                wk.upd_done[static_cast<size_t>(t)] = engine.now();
               }
               try_issue(w);
             });
@@ -231,10 +237,11 @@ ClusterPsMetrics ClusterPsEngine::Run(const NnModel& model) const {
           if (op.type == PsOp::kWeightGrad) {
             const int t = wk.iter;
             const int l = op.layer;
-            up[static_cast<size_t>(w)]->Send(
-                model.layers[static_cast<size_t>(l)].param_bytes,
-                push_priority(l), /*name=*/"",
-                [&, t, l] { on_grad(t, l); });
+            const int64_t bytes =
+                model.layers[static_cast<size_t>(l)].param_bytes;
+            wk.pushed_bytes += bytes;
+            send(*up[static_cast<size_t>(w)], bytes, push_priority(l),
+                 [&, t, l] { on_grad(t, l); });
           }
           ++wk.pc;
           if (wk.pc == program.size()) {
@@ -245,23 +252,16 @@ ClusterPsMetrics ClusterPsEngine::Run(const NnModel& model) const {
         });
   }
 
-  // Kick every worker's first forward at t = 0, then run the conservative
-  // loop until compute and communication fully drain.
-  std::vector<CrossLpChannel*> channels;
-  for (int w = 0; w < W; ++w) {
-    channels.push_back(up[static_cast<size_t>(w)].get());
-  }
-  for (int w = 0; w < W; ++w) {
-    channels.push_back(down[static_cast<size_t>(w)].get());
-  }
+  // Kick every worker's first forward at t = 0, then run until compute and
+  // communication fully drain.
   for (int w = 0; w < W; ++w) {
     try_issue(w);
   }
-  shard.RunConservative(channels);
+  engine.Run();
 
   // -- Metrics --------------------------------------------------------------
   ClusterPsMetrics m;
-  m.processed_events = shard.processed_events();
+  m.processed_events = engine.processed_events();
   TimeNs iter_sum = 0;
   double stall_sum = 0.0;
   double busy_sum = 0.0;
@@ -282,9 +282,8 @@ ClusterPsMetrics ClusterPsEngine::Run(const NnModel& model) const {
     }
     m.slowest_factor = std::max(m.slowest_factor, wk.factor);
     stall_sum += static_cast<double>(wk.stall);
-    m.bytes_pushed += up[static_cast<size_t>(w)]->total_sent_bytes();
-    busy_sum +=
-        static_cast<double>(up[static_cast<size_t>(w)]->link().busy_time());
+    m.bytes_pushed += wk.pushed_bytes;
+    busy_sum += static_cast<double>(up[static_cast<size_t>(w)]->busy_time());
   }
   m.iteration_time = iter_sum / W;
   if (m.makespan > 0) {

@@ -7,7 +7,7 @@
 namespace oobp {
 
 namespace {
-// splitmix64 finalizer: the same mixer the sharded-sim perturbation uses.
+// splitmix64 finalizer.
 uint64_t Mix(uint64_t z) {
   z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
   z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;

@@ -9,10 +9,8 @@
 #include "src/core/memory_model.h"
 #include "src/hw/cpu_launcher.h"
 #include "src/hw/gpu.h"
-#include "src/hw/validation_hooks.h"
 #include "src/runtime/single_gpu_engine.h"
 #include "src/sim/engine.h"
-#include "src/sim/sharded.h"
 
 namespace oobp {
 
@@ -89,26 +87,9 @@ FleetMetrics FleetEngine::RunImpl(const NnModel* train_model,
                                /*sub_stream=*/1, /*label_items=*/false);
   }
 
-  // Engine layout. Reference path (sim_threads <= 1, a single replica, or a
-  // validator attached — validation hooks are thread-local, so a sharded
-  // run would silently skip them): every replica and the control plane
-  // share one engine, exactly the pre-sharding behavior. Sharded path:
-  // replica r is logical process r of a ShardedSim, and the control plane
-  // (pre-generated arrival trace, router, autoscaler) runs on the
-  // coordinator's control engine. All engines draw event seqs from one
-  // shared counter, and replicas advance between control events only up to
-  // the next control event's (time, seq) — which replays the single-engine
-  // total order exactly (see src/sim/sharded.h and DESIGN.md §11).
-  const bool sharded = config_.sim_threads > 1 && fleet_size > 1 &&
-                       ActiveHwValidationHooks() == nullptr;
-  SimEngine single;
-  ShardedSim shard(sharded ? fleet_size : 0,
-                   sharded ? config_.sim_threads : 0);
-  shard.SetPerturbSeed(config_.sim_perturb_seed);
-  SimEngine& control = sharded ? *shard.control_engine() : single;
-  auto engine_of = [&](int r) -> SimEngine* {
-    return sharded ? shard.lp(r) : &single;
-  };
+  // Every replica and the control plane (arrival trace, router,
+  // autoscaler) share one engine.
+  SimEngine engine;
 
   std::vector<Replica> replicas(static_cast<size_t>(fleet_size));
 
@@ -118,20 +99,14 @@ FleetMetrics FleetEngine::RunImpl(const NnModel* train_model,
   std::vector<RequestRecord> records(arrivals.size());
   std::vector<int> replica_of(arrivals.size(), -1);
 
-  // Scenario hints pre-size the event storage: the whole arrival trace is
-  // scheduled up front on the control engine, and each replica keeps a
-  // small bounded set of batcher/launcher/GPU events pending.
-  control.Reserve(arrivals.size() + 64);
-  for (int r = 0; r < fleet_size; ++r) {
-    engine_of(r)->Reserve(sharded ? 256
-                                  : arrivals.size() +
-                                        16 * static_cast<size_t>(fleet_size));
-  }
+  // Pre-size the event storage: the whole arrival trace is scheduled up
+  // front, and each replica keeps a small bounded set of batcher/launcher/GPU
+  // events pending.
+  engine.Reserve(arrivals.size() + 16 * static_cast<size_t>(fleet_size));
 
   for (int r = 0; r < fleet_size; ++r) {
     Replica& rep = replicas[static_cast<size_t>(r)];
-    SimEngine* eng = engine_of(r);
-    rep.gpu = std::make_unique<Gpu>(eng, config_.gpu);
+    rep.gpu = std::make_unique<Gpu>(&engine, config_.gpu);
     // Stream creation order fixes ids 0/1/2 fleet-wide; priorities follow
     // serve_engine.h (training main 0, ooo sub 2, inference 1).
     rep.main_stream = rep.gpu->CreateStream(/*priority=*/0);
@@ -139,13 +114,13 @@ FleetMetrics FleetEngine::RunImpl(const NnModel* train_model,
     rep.serve_stream = rep.gpu->CreateStream(/*priority=*/1);
 
     rep.batcher = std::make_unique<DynamicBatcher>(
-        eng, config_.batcher, [&, r, eng](const std::vector<int64_t>& ids) {
+        &engine, config_.batcher, [&, r](const std::vector<int64_t>& ids) {
           Replica& self = replicas[static_cast<size_t>(r)];
           const size_t batch_index = self.batches.size();
           self.batches.push_back({});
           Batch& batch = self.batches.back();
           batch.requests = ids;
-          const TimeNs now = eng->now();
+          const TimeNs now = engine.now();
           for (int64_t id : ids) {
             records[static_cast<size_t>(id)].dispatch = now;
             records[static_cast<size_t>(id)].batch_size =
@@ -153,7 +128,7 @@ FleetMetrics FleetEngine::RunImpl(const NnModel* train_model,
           }
           // Graph launch: one fixed host latency, then the whole per-layer
           // kernel sequence lands on this replica's inference stream.
-          eng->ScheduleAfter(
+          engine.ScheduleAfter(
               config_.profile.graph_launch_latency, [&, r, batch_index] {
                 Replica& rr = replicas[static_cast<size_t>(r)];
                 Batch& b = rr.batches[batch_index];
@@ -174,14 +149,14 @@ FleetMetrics FleetEngine::RunImpl(const NnModel* train_model,
               });
         });
 
-    rep.gpu->AddKernelDoneListener([&, r, eng](KernelId id) {
+    rep.gpu->AddKernelDoneListener([&, r](KernelId id) {
       Replica& self = replicas[static_cast<size_t>(r)];
       const auto it = self.last_kernel_to_batch.find(id);
       if (it == self.last_kernel_to_batch.end()) {
         return;
       }
       const Batch& batch = self.batches[it->second];
-      const TimeNs done = eng->now();
+      const TimeNs done = engine.now();
       const TimeNs exec_start = self.gpu->StartTime(batch.first);
       for (int64_t rid : batch.requests) {
         RequestRecord& rec = records[static_cast<size_t>(rid)];
@@ -193,7 +168,7 @@ FleetMetrics FleetEngine::RunImpl(const NnModel* train_model,
 
     if (train_model != nullptr) {
       rep.launcher = std::make_unique<CpuLauncher>(
-          eng, rep.gpu.get(), CpuLauncher::Mode::kPrecompiled,
+          &engine, rep.gpu.get(), CpuLauncher::Mode::kPrecompiled,
           config_.profile.graph_launch_latency);
       rep.item_kernel.assign(plan.items.size(), -1);
       rep.launcher->Launch(
@@ -211,7 +186,7 @@ FleetMetrics FleetEngine::RunImpl(const NnModel* train_model,
   // lambda captures; the callback only ever fires after construction.
   std::unique_ptr<Autoscaler> autoscaler;
   autoscaler =
-      std::make_unique<Autoscaler>(&control, config_.autoscaler, [&] {
+      std::make_unique<Autoscaler>(&engine, config_.autoscaler, [&] {
         int64_t queued = 0;
         for (int r : autoscaler->routable_set()) {
           queued += replicas[static_cast<size_t>(r)].batcher->queue_depth();
@@ -227,7 +202,7 @@ FleetMetrics FleetEngine::RunImpl(const NnModel* train_model,
 
   for (size_t i = 0; i < arrivals.size(); ++i) {
     records[i].arrival = arrivals[i];
-    control.ScheduleAt(arrivals[i], [&, i] {
+    engine.ScheduleAt(arrivals[i], [&, i] {
       const std::vector<int>& routable = autoscaler->routable_set();
       const int r = router.Route(routable);
       replica_of[i] = r;
@@ -237,24 +212,7 @@ FleetMetrics FleetEngine::RunImpl(const NnModel* train_model,
   }
   autoscaler->Start(config_.horizon);
 
-  if (!sharded) {
-    single.Run();
-  } else {
-    // Conservative windowed sync: between consecutive control events the
-    // replicas are mutually independent, so advance every logical process
-    // to the next control event's (time, seq), then run that one control
-    // event on the quiesced fleet. Its reads (router load probes,
-    // autoscaler depth sampling) and synchronous calls (OnRequest dispatch)
-    // observe replica state at exactly the instant the single-engine order
-    // prescribes.
-    TimeNs t = 0;
-    uint64_t seq = 0;
-    while (control.PeekNext(&t, &seq)) {
-      shard.AdvanceAllTo(t, seq);
-      control.Step();
-    }
-    shard.DrainAll();
-  }
+  engine.Run();
 
   // -- Aggregate serving metrics -------------------------------------------
   FleetMetrics metrics;

@@ -6,16 +6,12 @@
 // The whole fleet lives in ONE simulated timeline: routing decisions
 // observe replica queue depths at the simulated instant a request arrives,
 // the autoscaler samples fleet-wide queue depth on the same clock, and
-// every replica GPU advances in lockstep. With config.sim_threads > 1 the
-// fleet is sharded into one logical process per replica and advanced on a
-// worker pool under conservative synchronization; the sharded execution
-// replays the single-engine (time, seq) order exactly, so it is an
-// implementation detail of wall-clock speed, not of results (see
-// src/sim/sharded.h and DESIGN.md §11). Per-replica stream priorities are identical to
-// src/serve/serve_engine.h (training main prio 0, inference prio 1, ooo
-// sub stream prio 2), so the paper's co-run property — inference preempts
-// reordered weight-gradient kernels in SM-slot allocation — holds on every
-// replica of the fleet under cluster-level load.
+// every replica GPU advances in lockstep on one SimEngine. Per-replica
+// stream priorities are identical to src/serve/serve_engine.h (training
+// main prio 0, inference prio 1, ooo sub stream prio 2), so the paper's
+// co-run property — inference preempts reordered weight-gradient kernels in
+// SM-slot allocation — holds on every replica of the fleet under
+// cluster-level load.
 //
 // Scale-down semantics: a drained replica stops receiving new requests but
 // its GPU keeps training at full rate — scaling serving down returns the
@@ -64,22 +60,6 @@ struct FleetConfig {
   TimeNs horizon = Ms(200);  // arrival-generation window
   TimeNs slo = Ms(20);
   std::function<NnModel(int batch)> make_model;  // inference model per batch
-
-  // Simulation worker threads (`--sim-threads`). 1 = the single-engine
-  // reference path. > 1 shards the fleet into one logical process per
-  // replica, advanced in parallel under conservative sync with the control
-  // plane (arrivals/router/autoscaler) on a coordinator-owned engine; the
-  // results are byte-identical to the reference path (see src/sim/sharded.h
-  // and DESIGN.md §11). Ignored — the reference path runs — when a
-  // validator is attached (validation hooks are thread-local) or the fleet
-  // has a single replica.
-  int sim_threads = 1;
-
-  // Test-only: nonzero seeds deterministic pseudo-random sleeps into the
-  // sharded worker pool, deliberately perturbing thread scheduling. Results
-  // must not change (the determinism battery asserts this). No effect on
-  // the reference path.
-  uint64_t sim_perturb_seed = 0;
 };
 
 struct FleetMetrics {

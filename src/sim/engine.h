@@ -17,7 +17,6 @@
 #ifndef OOBP_SRC_SIM_ENGINE_H_
 #define OOBP_SRC_SIM_ENGINE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -56,23 +55,6 @@ class SimEngine {
   uint64_t processed_events() const { return processed_; }
   size_t pending_events() const { return heap_.size(); }
 
-  // (time, seq) of the earliest pending event without processing it.
-  // Returns false on an empty queue. The sharded coordinator peeks these to
-  // decide how far a logical process may safely advance.
-  bool PeekNext(TimeNs* time, uint64_t* seq) const {
-    if (heap_.empty()) {
-      return false;
-    }
-    *time = heap_[0].time;
-    *seq = heap_[0].seq;
-    return true;
-  }
-
-  // Time of the earliest pending event, or TimeNs::max() when empty.
-  TimeNs NextEventTime() const {
-    return heap_.empty() ? std::numeric_limits<TimeNs>::max() : heap_[0].time;
-  }
-
   // Pre-sizes the heap and callback slab for `n` concurrently pending
   // events, eliminating mid-run growth reallocations. Capacity only — has
   // no effect on event ordering or results.
@@ -81,13 +63,6 @@ class SimEngine {
     slots_.reserve(n);
   }
 
-  // Draws event sequence numbers from `counter` instead of the engine's own
-  // counter. A ShardedSim installs one shared counter across its logical
-  // processes and the control engine, so the (time, seq) order that breaks
-  // same-timestamp ties is comparable across engines — the key to replaying
-  // the single-engine reference order exactly (see src/sim/sharded.h).
-  // Pass nullptr to restore the local counter.
-  void SetSeqSource(std::atomic<uint64_t>* counter) { seq_source_ = counter; }
   // Total slab slots ever allocated (live + free-listed); a sequence of
   // schedule/fire/cancel cycles that keeps pending_events bounded must keep
   // this bounded too, or slots are leaking.
@@ -95,14 +70,14 @@ class SimEngine {
 
   // Process-wide count of events processed by engines that have been
   // destroyed (each engine flushes its tally in its destructor). The tally
-  // is an atomic: engines may be destroyed concurrently on sharded-sim
-  // worker threads or the bench/fuzz pools. The perf harness reads deltas
-  // of this around scenario runs; simulation results never depend on it.
+  // is an atomic: engines may be destroyed concurrently on the bench, fuzz
+  // or search worker threads. The perf harness reads deltas of this around
+  // scenario runs; simulation results never depend on it.
   static uint64_t TotalProcessedEvents();
 
   // Startup-latency probe for `oobp snapshot startup`: Arm starts a
-  // wall-clock timer; the first Run()/RunUntil() entered anywhere in the
-  // process after arming records the elapsed milliseconds and disarms.
+  // wall-clock timer; the first Run() entered anywhere in the process
+  // after arming records the elapsed milliseconds and disarms.
   // That delta is "time to first simulated event" — everything spent on
   // model construction and scheduling before any simulation begins. Cost
   // when disarmed is one relaxed atomic load per Run() call (not per
@@ -134,18 +109,6 @@ class SimEngine {
   // simulated intervals. With the default (infinite) limit the clock rests
   // at the last processed event's timestamp.
   uint64_t Run(TimeNs limit = std::numeric_limits<TimeNs>::max());
-
-  // Conservative-window advance: processes events with time < `t`, plus
-  // events at exactly `t` whose seq is < `tie_seq_bound`, then sets the
-  // clock to exactly `t` (which must be >= now()). With the default bound
-  // of 0 the advance is exclusive — events at `t` stay pending. Returns the
-  // number of events processed.
-  //
-  // This is the logical-process primitive: a shard may run ahead only to
-  // the next externally visible sync point `t`, and the seq bound decides
-  // which same-timestamp events belong before that sync point in the
-  // engine-spanning (time, seq) total order.
-  uint64_t RunUntil(TimeNs t, uint64_t tie_seq_bound = 0);
 
   // Processes a single event if one exists. Returns false on an empty queue.
   bool Step();
@@ -179,7 +142,6 @@ class SimEngine {
 
   TimeNs now_ = 0;
   uint64_t next_seq_ = 1;  // 0 is reserved for null TimerHandles
-  std::atomic<uint64_t>* seq_source_ = nullptr;  // non-null: shared counter
   uint64_t processed_ = 0;
   std::vector<HeapEntry> heap_;   // 4-ary min-heap by (time, seq)
   std::vector<EventSlot> slots_;  // callback slab, free-listed

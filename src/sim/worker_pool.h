@@ -1,9 +1,7 @@
-// Persistent worker pool shared by the parallel simulation paths.
+// Persistent worker pool for deterministic fan-outs.
 //
-// Extracted from ShardedSim (PR 7) so other deterministic fan-outs — the
-// sharded coordinator's LP advances, the search module's portfolio
-// trajectories — run on one battle-tested protocol instead of growing their
-// own. The contract is deliberately tiny:
+// The search module's portfolio trajectories run on it (src/search). The
+// contract is deliberately tiny:
 //
 //   WorkerPool pool(n);                 // spawns n threads iff n > 1
 //   pool.Run(count, [&](size_t i, int worker) { ... });
@@ -13,15 +11,15 @@
 // (workers see all caller writes made before Run; the caller sees all worker
 // writes on return). When the pool has no workers or count <= 1 the calls
 // run inline on the caller's thread in index order with worker == -1 — the
-// reference path the byte-identity batteries compare against. Tasks are
-// claimed from a shared cursor under one mutex; tasks are coarse (an LP
-// window advance, a whole search trajectory), so contention is nil and the
-// protocol is trivially race-free (see DESIGN.md §11).
+// reference path the byte-identity tests compare against. Tasks are claimed
+// from a shared cursor under one mutex; tasks are coarse (a whole search
+// trajectory), so contention is nil and the protocol is trivially
+// race-free.
 //
 // Determinism note: callers must not let results depend on which worker ran
-// a task or in what order tasks finished. Both in-tree users satisfy this
-// structurally — tasks share no mutable state and results are merged in
-// task-index order after Run() returns.
+// a task or in what order tasks finished. The search portfolio satisfies
+// this structurally — tasks share no mutable state and results are merged
+// in task-index order after Run() returns.
 
 #ifndef OOBP_SRC_SIM_WORKER_POOL_H_
 #define OOBP_SRC_SIM_WORKER_POOL_H_

@@ -18,10 +18,10 @@
 //
 // Every cross-record reference is an index or a (offset, length) pair into a
 // sibling section, so the file is position-independent: one read-only
-// mapping is shared by every --jobs worker and --sim-threads logical
-// process with no fix-up pass. Records are standard-layout, explicitly
-// padded, and 8-byte aligned so reinterpret_cast from an aligned mapping is
-// well-defined (no misaligned loads under UBSan).
+// mapping is shared by every --jobs worker with no fix-up pass. Records are
+// standard-layout, explicitly padded, and 8-byte aligned so
+// reinterpret_cast from an aligned mapping is well-defined (no misaligned
+// loads under UBSan).
 //
 // Integrity story (validated in this order by SnapshotReader::Open):
 //   1. size: file at least sizeof(SnapshotHeader), and == header.file_size

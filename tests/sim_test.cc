@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "src/sim/engine.h"
 #include "src/sim/fluid.h"
+#include "src/sim/worker_pool.h"
 
 namespace oobp {
 namespace {
@@ -169,6 +172,25 @@ TEST(FluidTest, ZeroWorkCompletesPromptly) {
   engine.Run();
   EXPECT_TRUE(fired);
   EXPECT_LE(engine.now(), 1);  // drains within one wake-up tick
+}
+
+// Pooled execution must match the inline reference; an inert pool runs
+// every task on the caller's thread (worker == -1).
+TEST(WorkerPoolTest, PooledRunMatchesInlineReference) {
+  auto run = [](int threads) {
+    WorkerPool pool(threads);
+    std::vector<uint64_t> out(64);
+    std::vector<int> worker_of(out.size());
+    pool.Run(out.size(), [&](size_t i, int worker) {
+      out[i] = i * i + 7;
+      worker_of[i] = worker;
+    });
+    return std::make_pair(out, worker_of);
+  };
+  const auto [reference, inline_workers] = run(1);
+  EXPECT_EQ(reference[63], 63u * 63u + 7u);
+  EXPECT_EQ(inline_workers, std::vector<int>(64, -1));
+  EXPECT_EQ(run(4).first, reference);
 }
 
 }  // namespace

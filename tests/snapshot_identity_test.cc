@@ -4,8 +4,6 @@
 //   * `snapshot build` is bit-deterministic (two builds → identical files);
 //   * every golden scenario's serialized result JSON is byte-identical
 //     with and without the snapshot active, under --jobs 4;
-//   * the sharded engines (fleet_*, cluster_*) stay byte-identical from the
-//     snapshot with sim_threads=8;
 //   * golden comparison passes from snapshot-loaded specs exactly as from
 //     the checked-in files.
 
@@ -75,7 +73,7 @@ std::string BuildSnapshotOnce() {
 // One full pass over `filter`; when `snapshot` is non-empty it must
 // activate fresh. Model caches are cleared first so warm passes prove the
 // snapshot path, not cache residue from the previous pass.
-RunnerReport RunPass(const std::string& filter, int jobs, int sim_threads,
+RunnerReport RunPass(const std::string& filter, int jobs,
                      const std::string& snapshot) {
   DeactivateSnapshot();
   ClearModelCaches();
@@ -91,9 +89,6 @@ RunnerReport RunPass(const std::string& filter, int jobs, int sim_threads,
   opts.jobs = jobs;
   opts.print = false;
   opts.golden_dir = kGoldenDir;
-  if (sim_threads > 1) {
-    opts.params.Set("sim_threads", std::to_string(sim_threads));
-  }
   RunnerReport report = RunScenarios(opts);
   DeactivateSnapshot();
   ClearModelCaches();
@@ -139,9 +134,8 @@ TEST(SnapshotIdentityTest, FullGoldenSweepIsByteIdenticalUnderJobs4) {
   RegisterAll();
   const std::string snapshot = BuildSnapshotOnce();
   ASSERT_FALSE(snapshot.empty());
-  const RunnerReport cold = RunPass("*", /*jobs=*/4, /*sim_threads=*/1, "");
-  const RunnerReport warm =
-      RunPass("*", /*jobs=*/4, /*sim_threads=*/1, snapshot);
+  const RunnerReport cold = RunPass("*", /*jobs=*/4, "");
+  const RunnerReport warm = RunPass("*", /*jobs=*/4, snapshot);
   ExpectByteIdentical(cold, warm);
   // Every scenario with a checked-in golden was compared on both passes
   // (the warm pass loads specs from the snapshot, the cold one from disk).
@@ -150,17 +144,6 @@ TEST(SnapshotIdentityTest, FullGoldenSweepIsByteIdenticalUnderJobs4) {
     compared += run.golden_compared ? 1 : 0;
   }
   EXPECT_EQ(compared, 46);
-}
-
-TEST(SnapshotIdentityTest, ShardedEnginesAreByteIdenticalUnderSimThreads8) {
-  RegisterAll();
-  const std::string snapshot = BuildSnapshotOnce();
-  ASSERT_FALSE(snapshot.empty());
-  const RunnerReport cold =
-      RunPass("fleet_*,cluster_*", /*jobs=*/1, /*sim_threads=*/8, "");
-  const RunnerReport warm =
-      RunPass("fleet_*,cluster_*", /*jobs=*/1, /*sim_threads=*/8, snapshot);
-  ExpectByteIdentical(cold, warm);
 }
 
 }  // namespace

@@ -24,18 +24,14 @@
 #      run, so failures still reproduce with
 #      `oobp fuzz --seeds 1 --base-seed <seed>`; see DESIGN.md §8-9), and
 #      another 200 ASan seeds restricted to the fleet fuzz family (random
-#      fleets, metamorphic add-a-replica check; every second seed runs —
-#      each surviving seed also re-runs its fleet sharded (sim_threads 2)
-#      and diffs every serving metric against the single-threaded result).
-#   7. Sharded sim under ThreadSanitizer (-DOOBP_SANITIZE_THREAD=ON):
-#      sharded-labeled ctest tier (worker-pool/Chandy–Misra units plus the
-#      --sim-threads byte-identity battery with perturbed scheduling) and a
-#      fleet fuzz smoke, all on the TSan build — the worker pool, the
-#      shared seq counter, and the channel drains must be TSan-clean. The
-#      Release build then re-runs the fleet + cluster goldens and the perf
-#      gate at --sim-threads 8: sharded results must match the goldens and
-#      the event-count baseline byte-for-byte (counts are thread-invariant;
-#      wall-clock bands stay informational, see DESIGN.md §11).
+#      fleets, metamorphic add-a-replica check, and a validated autoscaled
+#      run; every second seed runs).
+#   7. Threaded code under ThreadSanitizer (-DOOBP_SANITIZE_THREAD=ON):
+#      the worker-pool and event-counter units (sim_test, event_heap_test),
+#      search_threads_identity_test (the search portfolio on the worker
+#      pool at threads 1/4/8), a `fuzz --jobs 0` smoke over the fleet
+#      family, and an `oobp search --threads=8` run of the parallel
+#      trajectory portfolio, all on the TSan build.
 #   8. Snapshot store: `oobp snapshot build` + `verify` on the Release
 #      build, then the fig07 + fleet goldens replayed from the snapshot
 #      (results must stay byte-identical to the snapshot-less tiers above),
@@ -52,17 +48,17 @@
 #      two-tier scenarios (search_deep_fig07, search_eval_fidelity,
 #      search_eval_perf) against their goldens, a perf smoke of the
 #      analytic evaluator gated by the perf baseline's analytic-evals count
-#      and evals/sec floor, a TSan run of the parallel trajectory portfolio
-#      (threads > beam-count collapse included), and 200 ASan seeds of the
-#      search fuzz family (differential searched-vs-heuristic under the
-#      SimValidator, beam-monotonicity metamorphic, two-tier bit-identity
-#      incl. threads=3 and zero audit error; every second seed runs — see
-#      DESIGN.md §13-14).
+#      and evals/sec floor, and 200 ASan seeds of the search fuzz family
+#      (differential searched-vs-heuristic under the SimValidator,
+#      beam-monotonicity metamorphic, two-tier bit-identity incl. threads=3
+#      and zero audit error; every second seed runs — see DESIGN.md
+#      §13-14).
 #
 # Tier matrix (tier x build):
 #   tier 1, 3, 4, 5 -> Release build    (speed; golden gates are exact)
 #   tier 2, 6       -> ASan+UBSan build (memory-safety of slab/fluid/fuzz paths)
-#   tier 7          -> TSan build       (data races in the sharded coordinator)
+#   tier 7          -> TSan build       (data races in the worker pool, the
+#                      search portfolio and the fuzz/bench --jobs pools)
 #   tier 8          -> Release (build/verify/replay/startup) + ASan (store
 #                      tests; mmap + validation ladder under the sanitizers)
 #   tier 9          -> Release (search goldens + gap-report replay) + ASan
@@ -117,24 +113,23 @@ ctest --test-dir "${BUILD_DIR}" -L validate --output-on-failure
 "${ASAN_DIR}/tools/oobp" fuzz --seeds 200 --base-seed 1 --jobs 0 \
     --checks=fleet
 
-# --- Tier 7: sharded sim: TSan build + sharded goldens at --sim-threads 8 -
+# --- Tier 7: threaded code under TSan: worker pool, search, fuzz --jobs ---
 cmake -S "${REPO_ROOT}" -B "${TSAN_DIR}" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DOOBP_SANITIZE_THREAD=ON
 cmake --build "${TSAN_DIR}" -j"$(nproc)"
 
-ctest --test-dir "${TSAN_DIR}" -L sharded --output-on-failure
+ctest --test-dir "${TSAN_DIR}" \
+    -R '^(sim_test|event_heap_test|search_threads_identity_test)$' \
+    --output-on-failure
 
 "${TSAN_DIR}/tools/oobp" fuzz --seeds 20 --base-seed 1 --jobs 0 \
     --checks=fleet
 
-"${BUILD_DIR}/tools/oobp" bench --filter 'fleet_*,cluster_*' --jobs 0 \
-    --sim-threads 8 \
-    --out "${BUILD_DIR}" --golden "${REPO_ROOT}/bench/golden"
-
-"${BUILD_DIR}/tools/oobp" bench --perf --warmup 0 --repeats 1 --jobs 0 \
-    --sim-threads 8 \
-    --check="${REPO_ROOT}/bench/perf_baseline.json" \
-    --out "${BUILD_DIR}" --golden "${REPO_ROOT}/bench/golden"
+# Parallel trajectory portfolio: more workers than trajectories exercises
+# the pool's cap; the run only has to be race-free (scores are
+# byte-identity-checked by search_threads_identity_test above).
+"${TSAN_DIR}/tools/oobp" search --model=densenet121 --eval=two-tier \
+    --beam=4 --budget=150 --seed=7 --threads=8
 
 # --- Tier 8: snapshot store: build/verify/replay/startup + ASan store tier
 SNAPSHOT="${BUILD_DIR}/oobp.snapshot"
@@ -148,7 +143,7 @@ SNAPSHOT="${BUILD_DIR}/oobp.snapshot"
     --out "${BUILD_DIR}" --golden "${REPO_ROOT}/bench/golden"
 
 "${BUILD_DIR}/tools/oobp" bench --filter 'fleet_*' --jobs 0 \
-    --snapshot="${SNAPSHOT}" --sim-threads 8 \
+    --snapshot="${SNAPSHOT}" \
     --out "${BUILD_DIR}" --golden "${REPO_ROOT}/bench/golden"
 
 ctest --test-dir "${ASAN_DIR}" -L store --output-on-failure
@@ -179,12 +174,6 @@ ctest --test-dir "${BUILD_DIR}" -L search --output-on-failure
     --filter search_eval_perf \
     --check="${REPO_ROOT}/bench/perf_baseline.json" \
     --out "${BUILD_DIR}"
-
-# Parallel trajectory portfolio under TSan: more workers than trajectories
-# exercises the pool's cap; the run only has to be race-free (scores are
-# byte-identity-checked by search_threads_identity_test in the ctest tier).
-"${TSAN_DIR}/tools/oobp" search --model=densenet121 --eval=two-tier \
-    --beam=4 --budget=150 --seed=7 --threads=8
 
 "${ASAN_DIR}/tools/oobp" fuzz --seeds 200 --base-seed 1 --jobs 0 \
     --checks=search

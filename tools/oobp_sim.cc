@@ -15,7 +15,7 @@
 //   oobp_sim search   --model=densenet121 --batch=32 [--gpu=v100|p100|titanxp]
 //                     [--beam=N] [--seed=N] [--budget=N] [--snapshot[=<path>]]
 //                     [--eval=exact|two-tier] [--audit-interval=N]
-//                     [--threads=N | --sim-threads=N]
+//                     [--threads=N]
 //                     [--export-schedule=<file>]
 //                     (search-based scheduler baseline, see src/search;
 //                     prints the heuristic-vs-searched optimality gap and
@@ -392,10 +392,9 @@ int RunSearch(const Flags& flags) {
   options.beam = flags.GetInt("beam", 4);
   options.seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
   options.budget = flags.GetInt("budget", 400);
-  // --threads (alias --sim-threads, matching the bench runner) parallelizes
-  // the trajectory portfolio; results are byte-identical for any value.
-  options.threads =
-      std::max(1, flags.GetInt("threads", flags.GetInt("sim-threads", 1)));
+  // --threads parallelizes the trajectory portfolio; results are
+  // byte-identical for any value.
+  options.threads = std::max(1, flags.GetInt("threads", 1));
   const std::string eval_mode = flags.Get("eval", "exact");
   if (eval_mode == "two-tier") {
     options.eval_mode = SearchEvalMode::kTwoTier;
