@@ -111,17 +111,17 @@ ScenarioResult RunSearchGap(const std::vector<GapConfig>& configs,
   return result;
 }
 
-// The deep-budget sweep: the two-tier pipeline (analytic Tier A, simulator
-// Tier B) spends an order of magnitude more candidate evaluations inside
-// the wall-clock envelope of the exact-mode scenarios, tightening the
-// reported optimality gap. best_time is Tier-B simulator-scored inside the
-// search; re-scoring through this scenario's own evaluator must reproduce
-// it bit-for-bit, which the OOBP_CHECK pins on every run.
+// The deep-budget sweep: with free cache hits the search spends an order of
+// magnitude more analytic evaluations than the search_gap_* scenarios,
+// tightening the reported optimality gap. best_time is Tier-B
+// simulator-scored inside the search; re-scoring through this scenario's
+// own evaluator must reproduce it bit-for-bit, which the OOBP_CHECK pins on
+// every run.
 ScenarioResult RunSearchDeep(const std::vector<GapConfig>& configs,
                              const ScenarioParams& params) {
   SearchOptions options = BaseOptions(params);
   options.budget = params.GetInt("budget", 4000);
-  options.eval_mode = SearchEvalMode::kTwoTier;
+  options.free_cache_hits = true;
   options.audit_interval = params.GetInt("audit_interval", 256);
   const SystemProfile profile = SystemProfile::TensorFlowXla();
 
@@ -404,7 +404,7 @@ ScenarioResult SearchEvalPerf(const ScenarioParams& params) {
   SearchOptions options = BaseOptions(params);
   options.beam = params.GetInt("beam", 2);
   options.budget = params.GetInt("budget", 2000);
-  options.eval_mode = SearchEvalMode::kTwoTier;
+  options.free_cache_hits = true;
   options.audit_interval = params.GetInt("audit_interval", 0);
   const SystemProfile profile = SystemProfile::TensorFlowXla();
   const std::shared_ptr<const NnModel> model =

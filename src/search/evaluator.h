@@ -4,9 +4,10 @@
 // model — the same SimEngine + fluid scheduler + CpuLauncher stack
 // SingleGpuEngine uses — but trimmed for throughput: no tracing, no replay
 // detection, precompiled issue only, three iterations (one warm-up, two
-// measured). The fast simulator core (DESIGN.md §2, 8M+ events/sec) makes
-// thousands of candidate evaluations cheap, which is what the beam/local
-// search in src/search/search.h spends its budget on.
+// measured). The search (src/search/search.h) scores candidates with the
+// bit-identical analytic FastScheduleEvaluator; this simulator is its
+// Tier B — the conventional baseline, each trajectory's final point, and
+// audits — and the oracle the analytic evaluator is tested against.
 //
 // Determinism: the evaluation is a pure function of (model, gpu, profile,
 // schedule) — every call builds a fresh SimEngine, so scores are
@@ -44,7 +45,7 @@ class ScheduleEvaluator {
   // not count as an evaluation.
   int64_t PeakMemory(const IterationSchedule& schedule) const;
 
-  // Number of IterationTime calls so far (the search budget currency).
+  // Number of IterationTime calls so far.
   int64_t evaluations() const { return evaluations_; }
 
   const NnModel& model() const { return *model_; }

@@ -74,78 +74,59 @@ void DecodeGenotypeInto(const TrainGraph& graph, const Genotype& genotype,
   }
 }
 
-// Per-trajectory evaluation pipeline: mode dispatch, memory cap, budget, and
-// audit bookkeeping. Exact mode reproduces the original candidate accounting
-// bit-for-bit (the memory check is closed-form and free; every scored
-// candidate is one simulator run). Two-tier mode scores candidates with the
-// incremental analytic evaluator behind the content-addressed cache and
-// budgets analytic evaluations; the simulator is touched only for the
-// deterministic audit sample here and the trajectory best in RunTrajectory.
-// Both modes take the memory cap from the incremental liveness walk, which
-// is bit-identical to ScheduleEvaluator::PeakMemory (pinned by
-// fast_eval_test) but resumes from the last common schedule prefix instead
-// of recomputing from scratch per candidate.
+// Per-trajectory evaluation pipeline (see the header comment): a cache
+// miss is decoded, walked for its activation peak and, if admissible,
+// scored by Tier A; either outcome is cached. Budget follows
+// SearchOptions::free_cache_hits. The simulator is touched here only for
+// the deterministic audit sample; RunTrajectory re-scores the final point.
 struct SearchContext {
-  const TrainGraph* graph = nullptr;
-  ScheduleEvaluator* sim = nullptr;       // exact scorer (Tier B)
-  FastScheduleEvaluator* fast = nullptr;  // memory walk + Tier A
-  CandidateCache* cache = nullptr;        // two-tier mode only
-  int64_t memory_cap = 0;
-  int evals_left = 0;
-  int audit_interval = 0;  // two-tier mode only; <= 0 disables audits
-  bool two_tier = false;
-
-  // Stats the wrappers can't recover from the evaluators afterwards.
-  int64_t memory_rejections = 0;
-  int64_t audit_samples = 0;
-  double audit_err_sum = 0.0;
-  double audit_err_max = 0.0;
+  const TrainGraph& graph;
+  const SearchOptions& options;
+  ScheduleEvaluator sim;       // Tier B: audits and the final point
+  FastScheduleEvaluator fast;  // memory walk + Tier A
+  int64_t memory_cap;
+  int evals_left;
+  CandidateCache cache = {};
+  // Rejections and audits; RunTrajectory reads the rest off the evaluators.
+  SearchStats stats = {};
 
   // Decode buffers, reused across candidates (the context is
   // single-threaded; only the evaluators read `schedule` and they keep
   // their own copies of whatever they diff against).
-  std::vector<WgradGene> decode_scratch;
-  IterationSchedule schedule;
+  std::vector<WgradGene> decode_scratch = {};
+  IterationSchedule schedule = {};
 
   TimeNs Evaluate(const Genotype& genotype) {
-    if (!two_tier) {
-      DecodeGenotypeInto(*graph, genotype, &decode_scratch, &schedule);
-      if (fast->PeakMemory(schedule) > memory_cap) {
-        ++memory_rejections;
-        return kRejected;
-      }
-      --evals_left;
-      return sim->IterationTime(schedule);
-    }
     const uint64_t hash = CandidateCache::Hash(genotype);
-    if (const CandidateCache::Score* hit = cache->Lookup(genotype, hash)) {
+    if (const CandidateCache::Score* hit = cache.Lookup(genotype, hash)) {
+      if (hit->time != kRejected && !options.free_cache_hits) evals_left--;
       return hit->time;
     }
-    DecodeGenotypeInto(*graph, genotype, &decode_scratch, &schedule);
-    const int64_t peak = fast->PeakMemory(schedule);
+    DecodeGenotypeInto(graph, genotype, &decode_scratch, &schedule);
+    const int64_t peak = fast.PeakMemory(schedule);
     if (peak > memory_cap) {
-      ++memory_rejections;
-      cache->Insert(genotype, {kRejected, peak}, hash);
+      ++stats.memory_rejections;
+      cache.Insert(genotype, {kRejected, peak}, hash);
       return kRejected;
     }
-    --evals_left;
-    const TimeNs t = fast->IterationTime(schedule);
-    cache->Insert(genotype, {t, peak}, hash);
+    evals_left--;
+    const TimeNs t = fast.IterationTime(schedule);
+    cache.Insert(genotype, {t, peak}, hash);
     // Deterministic 1-in-K audit: the K-th, 2K-th, ... analytic evaluation
     // of this trajectory is re-scored by the simulator (outside the budget)
     // and the relative error recorded. The cache guarantees the counter
     // advances once per distinct candidate, so the sample is reproducible
     // at any thread count.
-    if (audit_interval > 0 && fast->evaluations() % audit_interval == 0) {
-      const TimeNs exact = sim->IterationTime(schedule);
-      ++audit_samples;
+    const int audit_interval = options.audit_interval;
+    if (audit_interval > 0 && fast.evaluations() % audit_interval == 0) {
+      const TimeNs exact = sim.IterationTime(schedule);
+      ++stats.audit_samples;
       const double err =
           exact > 0 ? std::abs(static_cast<double>(t) -
                                static_cast<double>(exact)) /
                           static_cast<double>(exact)
                     : (t == exact ? 0.0 : 1.0);
-      audit_err_sum += err;
-      audit_err_max = std::max(audit_err_max, err);
+      stats.audit_max_rel_err = std::max(stats.audit_max_rel_err, err);
     }
     return t;
   }
@@ -199,7 +180,7 @@ void SweepToFixpoint(SearchContext& ctx, Genotype& cur, TimeNs& cur_time,
 // genotype. No randomness — this is what `beam=1` and GreedySchedule run.
 void GreedyTrajectory(SearchContext& ctx, Genotype& cur, TimeNs& cur_time) {
   SweepToFixpoint(ctx, cur, cur_time, [&](const WgradGene& gene) {
-    return GreedyMoves(*ctx.graph, gene);
+    return GreedyMoves(ctx.graph, gene);
   });
 }
 
@@ -210,14 +191,14 @@ void GreedyTrajectory(SearchContext& ctx, Genotype& cur, TimeNs& cur_time) {
 void RandomTrajectory(SearchContext& ctx, Rng& rng, Genotype& cur,
                       TimeNs& cur_time) {
   auto random_gene = [&](int layer) {
-    const int lo = MinSlot(*ctx.graph, layer);
-    const int hi = MaxSlot(*ctx.graph, layer);
+    const int lo = MinSlot(ctx.graph, layer);
+    const int hi = MaxSlot(ctx.graph, layer);
     const int slot = lo + static_cast<int>(rng.NextBelow(hi - lo + 1));
     const int stream = rng.NextBelow(2) == 0 ? kMainStream : kSubStream;
     return WgradGene{layer, slot, stream};
   };
   SweepToFixpoint(ctx, cur, cur_time, [&](const WgradGene& gene) {
-    std::vector<WgradGene> moves = GreedyMoves(*ctx.graph, gene);
+    std::vector<WgradGene> moves = GreedyMoves(ctx.graph, gene);
     moves.push_back(random_gene(gene.layer));
     moves.push_back(random_gene(gene.layer));
     return moves;
@@ -274,21 +255,13 @@ Genotype DeriveGenotype(const TrainGraph& graph,
   return genotype;
 }
 
-// Everything a finished trajectory hands back to the coordinator. In
-// two-tier mode `time` is a simulator score of `genotype` (Tier B) — no
-// analytic number crosses this boundary, so every value that can become the
-// reported best_time is exact.
+// Everything a finished trajectory hands back to the coordinator. `time`
+// is a simulator score of `genotype` (Tier B), so every value that can
+// become the reported best_time is exact.
 struct TrajectoryOutcome {
   Genotype genotype;
   TimeNs time = kRejected;
-  int64_t sim_evals = 0;
-  int64_t analytic_evals = 0;
-  uint64_t cache_hits = 0;
-  uint64_t cache_misses = 0;
-  int64_t memory_rejections = 0;
-  int64_t audit_samples = 0;
-  double audit_err_sum = 0.0;
-  double audit_err_max = 0.0;
+  SearchStats stats;
 };
 
 // One trajectory of the portfolio, self-contained: private evaluators,
@@ -300,65 +273,50 @@ TrajectoryOutcome RunTrajectory(const TrainGraph& graph, const GpuSpec& gpu,
                                 const Genotype& conventional_genotype,
                                 TimeNs conventional_time, int64_t cap,
                                 const Genotype* ooo_genotype) {
-  const bool two_tier = options.eval_mode == SearchEvalMode::kTwoTier;
-  ScheduleEvaluator sim(&graph.model(), gpu, profile);
-  FastScheduleEvaluator fast(&graph.model(), gpu, profile);
-  CandidateCache cache;
-  SearchContext ctx{&graph,
-                    &sim,
-                    &fast,
-                    two_tier ? &cache : nullptr,
-                    cap,
-                    options.budget,
-                    two_tier ? options.audit_interval : 0,
-                    two_tier};
+  SearchContext ctx{.graph = graph,
+                    .options = options,
+                    .sim = {&graph.model(), gpu, profile},
+                    .fast = {&graph.model(), gpu, profile},
+                    .memory_cap = cap,
+                    .evals_left = options.budget};
+  // The conventional point: the coordinator's score for free, or one
+  // budgeted analytic evaluation (bit-identical; only accounting differs).
   Genotype cur;
   TimeNs cur_time = kRejected;
-  if (j == 0) {
+  auto start_conventional = [&] {
     cur = conventional_genotype;
-    if (two_tier) {
-      // The trajectory's internal currency is analytic time, so the greedy
-      // baseline must be analytic too (one budgeted evaluation).
-      if (ctx.evals_left > 0) cur_time = ctx.Evaluate(cur);
-    } else {
-      cur_time = conventional_time;  // scored once by the coordinator
+    if (!options.free_cache_hits) {
+      cur_time = conventional_time;
+    } else if (ctx.evals_left > 0) {
+      cur_time = ctx.Evaluate(cur);
     }
+  };
+  if (j == 0) {
+    start_conventional();
     GreedyTrajectory(ctx, cur, cur_time);
   } else {
     Rng rng(options.seed * 0x9E3779B97F4A7C15ULL + static_cast<uint64_t>(j));
     cur = *ooo_genotype;
     if (ctx.evals_left > 0) cur_time = ctx.Evaluate(cur);
-    if (cur_time == kRejected) {
-      // Over the memory cap after re-decoding (or zero budget): restart
-      // from the always-admissible conventional point.
-      cur = conventional_genotype;
-      if (two_tier) {
-        if (ctx.evals_left > 0) cur_time = ctx.Evaluate(cur);
-      } else {
-        cur_time = conventional_time;
-      }
-    }
+    // Over the memory cap after re-decoding (or zero budget): restart from
+    // the always-admissible conventional point.
+    if (cur_time == kRejected) start_conventional();
     RandomTrajectory(ctx, rng, cur, cur_time);
   }
 
-  TrajectoryOutcome out;
-  if (two_tier) {
-    // Tier B: the only number that escapes a two-tier trajectory is a
-    // simulator score of its final point.
-    out.time = sim.IterationTime(DecodeGenotype(graph, cur));
-  } else {
-    out.time = cur_time;
-  }
-  out.genotype = std::move(cur);
-  out.sim_evals = sim.evaluations();
-  out.analytic_evals = fast.evaluations();
-  out.cache_hits = cache.hits();
-  out.cache_misses = cache.misses();
-  out.memory_rejections = ctx.memory_rejections;
-  out.audit_samples = ctx.audit_samples;
-  out.audit_err_sum = ctx.audit_err_sum;
-  out.audit_err_max = ctx.audit_err_max;
-  return out;
+  // Tier B: the only number that escapes a trajectory is a simulator score
+  // of its final point, and it must equal the analytic score the
+  // trajectory carried (unless the point was never scored).
+  const TimeNs time = ctx.sim.IterationTime(DecodeGenotype(graph, cur));
+  OOBP_CHECK(cur_time == kRejected || time == cur_time)
+      << "trajectory " << j << ": analytic score " << cur_time
+      << " != simulator score " << time;
+  SearchStats& stats = ctx.stats;
+  stats.sim_evals = ctx.sim.evaluations();
+  stats.analytic_evals = ctx.fast.evaluations();
+  stats.cache_hits = ctx.cache.hits();
+  stats.cache_misses = ctx.cache.misses();
+  return {std::move(cur), time, stats};
 }
 
 SearchResult AssembleResult(const TrainGraph& graph, ScheduleEvaluator& eval,
@@ -371,7 +329,6 @@ SearchResult AssembleResult(const TrainGraph& graph, ScheduleEvaluator& eval,
   out.best_time = best_time;
   out.conventional_time = conventional_time;
   out.peak_memory = eval.PeakMemory(out.schedule);
-  out.evaluations = stats.sim_evals;
   out.stats = stats;
   // Structural self-check: the decoded gradient order must satisfy the
   // training-graph dependencies. Callers additionally run the full
@@ -482,25 +439,19 @@ SearchResult SearchSchedule(const TrainGraph& graph, const GpuSpec& gpu,
   TimeNs best_time = conventional_time;
   SearchStats stats;
   stats.sim_evals = eval.evaluations();
-  double audit_err_sum = 0.0;
   for (TrajectoryOutcome& o : outcomes) {
     if (o.time < best_time) {
       best = std::move(o.genotype);
       best_time = o.time;
     }
-    stats.sim_evals += o.sim_evals;
-    stats.analytic_evals += o.analytic_evals;
-    stats.cache_hits += o.cache_hits;
-    stats.cache_misses += o.cache_misses;
-    stats.memory_rejections += o.memory_rejections;
-    stats.audit_samples += o.audit_samples;
-    audit_err_sum += o.audit_err_sum;
-    stats.audit_max_rel_err = std::max(stats.audit_max_rel_err,
-                                       o.audit_err_max);
-  }
-  if (stats.audit_samples > 0) {
-    stats.audit_mean_rel_err =
-        audit_err_sum / static_cast<double>(stats.audit_samples);
+    stats.sim_evals += o.stats.sim_evals;
+    stats.analytic_evals += o.stats.analytic_evals;
+    stats.cache_hits += o.stats.cache_hits;
+    stats.cache_misses += o.stats.cache_misses;
+    stats.memory_rejections += o.stats.memory_rejections;
+    stats.audit_samples += o.stats.audit_samples;
+    stats.audit_max_rel_err =
+        std::max(stats.audit_max_rel_err, o.stats.audit_max_rel_err);
   }
   return AssembleResult(graph, eval, std::move(best), best_time,
                         conventional_time, stats);
@@ -510,18 +461,14 @@ JointScheduleResult SnapshotSearchSchedule(const TrainGraph& graph,
                                            const GpuSpec& gpu,
                                            const SystemProfile& profile,
                                            const SearchOptions& options) {
-  // The evaluator version participates in the content key: bumping
-  // FastScheduleEvaluator::kVersion (or switching modes) silently
-  // invalidates schedules searched under the old pipeline instead of
+  // The analytic evaluator's version and the budget unit are part of the
+  // content key: bumping FastScheduleEvaluator::kVersion silently
+  // invalidates schedules searched under the old recurrence instead of
   // replaying them.
-  const int evaluator_version =
-      options.eval_mode == SearchEvalMode::kTwoTier
-          ? FastScheduleEvaluator::kVersion
-          : 0;
-  const uint64_t key =
-      SearchKeyHash(graph.model(), gpu, profile, options.beam, options.seed,
-                    options.budget, options.memory_cap_factor,
-                    evaluator_version);
+  const uint64_t key = SearchKeyHash(
+      graph.model(), gpu, profile, options.beam, options.seed, options.budget,
+      options.memory_cap_factor, FastScheduleEvaluator::kVersion,
+      options.free_cache_hits);
   if (std::shared_ptr<const SnapshotReader> reader = ActiveSnapshot()) {
     if (std::optional<JointScheduleResult> hit = reader->FindSchedule(key)) {
       return *std::move(hit);

@@ -3,7 +3,7 @@
 // The paper's schedulers are hand-designed heuristics; this module measures
 // the headroom they leave by searching the same schedule space directly —
 // op orderings and main/sub stream assignments for one training iteration —
-// scored by simulated iteration time (ScheduleEvaluator).
+// scored by steady-state iteration time.
 //
 // Search space. A candidate is a *genotype*: one gene per parameterized
 // layer placing that layer's weight-gradient + update pair (dW_i, U_i)
@@ -33,25 +33,20 @@
 // (model, gpu, profile, beam, seed, budget) — no wall-clock, no global rng.
 //
 // Memory. Candidates whose activation peak exceeds memory_cap_factor x the
-// conventional schedule's peak are rejected without consuming evaluation
-// budget (the memory model is closed-form; only scored evaluations are
-// budgeted). The peak itself comes from the incremental liveness walk in
-// FastScheduleEvaluator — bit-identical to EstimateBackpropMemory but
-// resumed from the last common schedule prefix instead of recomputed from
-// scratch per candidate.
+// conventional schedule's peak are rejected without consuming budget. The
+// peak comes from the incremental liveness walk in FastScheduleEvaluator —
+// bit-identical to EstimateBackpropMemory but resumed from the last common
+// schedule prefix instead of recomputed from scratch per candidate.
 //
-// Evaluation modes (DESIGN.md §14). kExact is the PR-9 pipeline: every
-// candidate is scored by the event-driven simulator and budget counts
-// simulator runs — goldens pin this mode bit-for-bit. kTwoTier scores
-// candidates with the incremental analytic evaluator (Tier A; budget counts
-// analytic evaluations), memoized in a per-trajectory content-addressed
-// CandidateCache, and invokes the exact simulator (Tier B) only for (a)
-// each trajectory's final best — the only number allowed to escape a
-// trajectory — and (b) a deterministic 1-in-audit_interval sample of
-// analytic scores, whose relative error feeds SearchStats. Since the
-// analytic recurrence replays the simulator's floating-point arithmetic
-// exactly, the audit error is 0 unless the two implementations drift — the
-// fidelity tests and pinned scenario stats exist to catch exactly that.
+// Scoring (DESIGN.md §14). Every candidate goes through one pipeline: the
+// memory walk, then a per-trajectory content-addressed CandidateCache, then
+// the incremental analytic evaluator (Tier A), which replays the
+// simulator's floating-point arithmetic and so returns its score bit for
+// bit. The event-driven simulator (ScheduleEvaluator, Tier B) scores only
+// the conventional baseline, each trajectory's final point — the only
+// number allowed to escape a trajectory, and checked to equal the analytic
+// score the trajectory carried — and a deterministic 1-in-audit_interval
+// sample of analytic scores, whose relative error feeds SearchStats.
 //
 // Parallelism. The `threads` option runs the independent trajectories on a
 // WorkerPool (src/sim/worker_pool.h). Each trajectory owns its evaluators,
@@ -77,45 +72,44 @@
 
 namespace oobp {
 
-enum class SearchEvalMode {
-  kExact,    // every candidate simulator-scored (the golden-pinned mode)
-  kTwoTier,  // analytic Tier A + simulator Tier B (trajectory bests, audits)
-};
-
 struct SearchOptions {
   int beam = 4;         // independent trajectories (>= 1)
   uint64_t seed = 1;    // base seed for trajectories >= 1
-  int budget = 200;     // scored evaluations per trajectory (>= 0)
+  int budget = 200;     // budget units per trajectory (>= 0)
   // Peak activation-memory cap as a multiple of the conventional schedule's
   // peak; the paper's schedulers use 1.1x. Must be >= 1.0 so the
   // conventional fallback is always admissible.
   double memory_cap_factor = 1.1;
-  // Candidate scoring pipeline; see the header comment. kExact keeps the
-  // PR-9 behavior bit-for-bit and is what the search_gap_* goldens pin.
-  SearchEvalMode eval_mode = SearchEvalMode::kExact;
+  // Budget unit. false: every admissible candidate visit costs one unit,
+  // cache hits included, and trajectory 0 and the over-cap restart take the
+  // coordinator's conventional score for free (what the search_gap_*
+  // goldens pin). true: only analytic evaluations (cache misses) cost a
+  // unit, and every start point is scored from the budget. Rejected
+  // candidates never cost a unit.
+  bool free_cache_hits = false;
   // Worker threads for the trajectory portfolio (>= 1; capped at `beam`).
   // Results are byte-identical for every value.
   int threads = 1;
-  // kTwoTier only: every audit_interval-th analytic evaluation (per
-  // trajectory) is re-scored by the simulator and the relative error is
-  // accumulated into SearchStats. <= 0 disables auditing. The audit is a
-  // safety net, not a correction — Tier A is bit-exact against the
-  // simulator and the analytic score is always the one used and cached —
-  // so a sparse sample suffices and keeps Tier-B time off the search's
-  // critical path.
+  // Every audit_interval-th analytic evaluation (per trajectory) is
+  // re-scored by the simulator into SearchStats::audit_max_rel_err; <= 0
+  // disables auditing. The audit is a safety net, not a correction — Tier A
+  // is bit-exact against the simulator and the analytic score is always
+  // the one used and cached — so a sparse sample suffices and keeps Tier-B
+  // time off the search's critical path.
   int audit_interval = 256;
 };
 
 // Bookkeeping of one search run, aggregated across trajectories.
 struct SearchStats {
-  int64_t sim_evals = 0;        // simulator scores (== budget spend in kExact)
-  int64_t analytic_evals = 0;   // Tier-A scores (== budget spend in kTwoTier)
-  uint64_t cache_hits = 0;      // candidate-cache hits (kTwoTier)
-  uint64_t cache_misses = 0;    // candidate-cache misses (kTwoTier)
-  int64_t memory_rejections = 0;  // candidates over the cap (never budgeted)
+  int64_t sim_evals = 0;        // Tier-B scores: baseline, finals, audits
+  int64_t analytic_evals = 0;   // Tier-A scores (one per distinct candidate)
+  uint64_t cache_hits = 0;      // candidate-cache hits
+  uint64_t cache_misses = 0;    // candidate-cache misses
+  int64_t memory_rejections = 0;  // distinct candidates over the cap
   int64_t audit_samples = 0;    // Tier-B audits of analytic scores
-  double audit_mean_rel_err = 0.0;  // mean |analytic - sim| / sim over audits
-  double audit_max_rel_err = 0.0;   // worst audited relative error
+  double audit_max_rel_err = 0.0;  // worst |analytic - sim| / sim audited
+
+  friend bool operator==(const SearchStats&, const SearchStats&) = default;
 };
 
 // One (slot, stream) placement of a parameterized layer's dW+U pair.
@@ -150,7 +144,6 @@ struct SearchResult {
   TimeNs best_time = 0;          // simulated iteration time of `schedule`
   TimeNs conventional_time = 0;  // simulated time of the in-order baseline
   int64_t peak_memory = 0;       // activation peak of `schedule`
-  int64_t evaluations = 0;       // total simulator evaluations spent
   SearchStats stats;             // per-run evaluation pipeline bookkeeping
 };
 

@@ -95,7 +95,7 @@ uint64_t ScheduleKeyHash(const NnModel& model, const GpuSpec& gpu,
 uint64_t SearchKeyHash(const NnModel& model, const GpuSpec& gpu,
                        const SystemProfile& profile, int beam, uint64_t seed,
                        int budget, double memory_cap_factor,
-                       int evaluator_version) {
+                       int evaluator_version, bool free_cache_hits) {
   HashAccumulator acc(/*seed=*/0x73726368u);  // "srch"
   acc.U64(ModelContentHash(model));
   acc.Str(CostModelCacheKey(gpu, profile));
@@ -104,6 +104,7 @@ uint64_t SearchKeyHash(const NnModel& model, const GpuSpec& gpu,
   acc.I32(budget);
   acc.F64(memory_cap_factor);
   acc.I32(evaluator_version);
+  acc.I32(free_cache_hits ? 1 : 0);
   return acc.Digest();
 }
 

@@ -52,16 +52,16 @@ uint64_t ScheduleKeyHash(const NnModel& model, const GpuSpec& gpu,
 // scheduling problem plus every knob the search result depends on. Lives in
 // the same key space as ScheduleKeyHash (distinct hash seed), so searched
 // schedules share the snapshot's kSchedules section. `evaluator_version`
-// identifies the candidate-scoring pipeline (0 = exact simulator; the
-// analytic evaluator's version constant in two-tier mode) — it is always
-// hashed, so a pipeline revision makes previously stored searches stale
-// (silent re-search) rather than replaying results the new pipeline would
-// not produce. Thread count is deliberately absent: results are
-// byte-identical at any `threads`.
+// (the analytic evaluator's version constant) and `free_cache_hits` (the
+// budget unit) identify the candidate-scoring pipeline — a pipeline
+// revision makes previously stored searches stale (silent re-search)
+// rather than replaying results the new pipeline would not produce.
+// Thread count is deliberately absent: results are byte-identical at any
+// `threads`.
 uint64_t SearchKeyHash(const NnModel& model, const GpuSpec& gpu,
                        const SystemProfile& profile, int beam, uint64_t seed,
                        int budget, double memory_cap_factor,
-                       int evaluator_version);
+                       int evaluator_version, bool free_cache_hits);
 
 enum class SnapshotActivation {
   kActive,  // validated, hooks installed

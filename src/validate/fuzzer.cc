@@ -575,95 +575,65 @@ void SearchFuzz(Rng& rng, uint64_t seed, std::vector<std::string>* errors) {
   options.beam = 1 + static_cast<int>(rng.NextBelow(2));      // 1 or 2
   options.seed = rng.NextU64();
   options.budget = 8 + static_cast<int>(rng.NextBelow(9));    // 8..16
+  options.audit_interval = 4;  // dense audits: small budgets need coverage
 
-  const SearchResult searched = SearchSchedule(graph, gpu, profile, options);
-
-  // Every emitted schedule must pass the full checker gate.
-  const ScheduleCheckReport check =
-      CheckIterationSchedule(graph, searched.schedule);
-  if (!check.ok()) {
-    fail("searched schedule: " + check.ToString());
-  }
-
-  // The search can never lose to its own starting point.
-  if (searched.best_time > searched.conventional_time) {
-    fail(StrFormat("searched time %lld worse than conventional %lld",
-                   static_cast<long long>(searched.best_time),
-                   static_cast<long long>(searched.conventional_time)));
-  }
-
-  // Determinism: identical options => byte-identical schedule and score.
-  const SearchResult again = SearchSchedule(graph, gpu, profile, options);
-  if (again.schedule.ToString() != searched.schedule.ToString() ||
-      again.best_time != searched.best_time) {
-    fail("identical seed+budget produced a different schedule");
-  }
-
-  // Metamorphic: enlarging the beam never worsens the best score (the
-  // portfolio with beam B+1 evaluates a superset of beam B's candidates).
-  SearchOptions wider = options;
-  wider.beam = options.beam + 1;
-  const SearchResult wide = SearchSchedule(graph, gpu, profile, wider);
-  if (wide.best_time > searched.best_time) {
-    fail(StrFormat("beam %d best %lld worse than beam %d best %lld",
-                   wider.beam, static_cast<long long>(wide.best_time),
-                   options.beam, static_cast<long long>(searched.best_time)));
-  }
-
-  // Two-tier evaluation pipeline (analytic Tier A + candidate cache +
-  // simulator Tier B): schedules must pass the checker gate, never lose to
-  // the starting point, audit cleanly (Tier A is bit-exact, so every audit
-  // error is exactly zero), reproduce run-to-run byte-for-byte including
-  // the pipeline accounting, and be invariant to the worker-thread count.
-  SearchOptions tt = options;
-  tt.eval_mode = SearchEvalMode::kTwoTier;
-  tt.audit_interval = 4;  // dense audits: small budgets need the coverage
-  tt.threads = 1;
-  const SearchResult fast = SearchSchedule(graph, gpu, profile, tt);
-  const ScheduleCheckReport fast_check =
-      CheckIterationSchedule(graph, fast.schedule);
-  if (!fast_check.ok()) {
-    fail("two-tier searched schedule: " + fast_check.ToString());
-  }
-  if (fast.best_time > fast.conventional_time) {
-    fail(StrFormat("two-tier time %lld worse than conventional %lld",
-                   static_cast<long long>(fast.best_time),
-                   static_cast<long long>(fast.conventional_time)));
-  }
-  // Only Tier-B simulator scores escape a two-tier trajectory: a fresh
-  // exact evaluator must reproduce best_time bit-for-bit.
-  ScheduleEvaluator rescore(&model, gpu, profile);
-  if (rescore.IterationTime(fast.schedule) != fast.best_time) {
-    fail(StrFormat("two-tier best_time %lld is not the exact score %lld of "
-                   "its schedule",
-                   static_cast<long long>(fast.best_time),
-                   static_cast<long long>(
-                       rescore.IterationTime(fast.schedule))));
-  }
-  if (fast.stats.audit_max_rel_err != 0.0) {
-    fail(StrFormat("analytic evaluator drifted from the simulator: audit "
-                   "max rel err %g over %lld samples",
-                   fast.stats.audit_max_rel_err,
-                   static_cast<long long>(fast.stats.audit_samples)));
-  }
-  auto same_run = [&](const SearchResult& other) {
-    return other.schedule.ToString() == fast.schedule.ToString() &&
-           other.best_time == fast.best_time &&
-           other.stats.analytic_evals == fast.stats.analytic_evals &&
-           other.stats.sim_evals == fast.stats.sim_evals &&
-           other.stats.cache_hits == fast.stats.cache_hits &&
-           other.stats.cache_misses == fast.stats.cache_misses &&
-           other.stats.memory_rejections == fast.stats.memory_rejections &&
-           other.stats.audit_samples == fast.stats.audit_samples;
+  // One check list per budget unit. Only Tier-B scores escape a trajectory
+  // and Tier A is bit-exact, so best_time must equal a fresh simulator
+  // score and every audit error must be zero; beam B+1 evaluates a
+  // superset of beam B's candidates, so it never does worse.
+  auto check_search = [&](bool free_cache_hits) {
+    SearchOptions opts = options;
+    opts.free_cache_hits = free_cache_hits;
+    auto fail_unit = [&](const std::string& msg) {
+      fail((free_cache_hits ? "free-hits: " : "visit-unit: ") + msg);
+    };
+    const SearchResult run = SearchSchedule(graph, gpu, profile, opts);
+    const ScheduleCheckReport check =
+        CheckIterationSchedule(graph, run.schedule);
+    if (!check.ok()) {
+      fail_unit("searched schedule: " + check.ToString());
+    }
+    if (run.best_time > run.conventional_time) {
+      fail_unit(StrFormat("searched time %lld worse than conventional %lld",
+                          static_cast<long long>(run.best_time),
+                          static_cast<long long>(run.conventional_time)));
+    }
+    const TimeNs exact =
+        ScheduleEvaluator(&model, gpu, profile).IterationTime(run.schedule);
+    if (exact != run.best_time) {
+      fail_unit(StrFormat("best_time %lld is not the exact score %lld of its "
+                          "schedule",
+                          static_cast<long long>(run.best_time),
+                          static_cast<long long>(exact)));
+    }
+    if (run.stats.audit_max_rel_err != 0.0) {
+      fail_unit(StrFormat("analytic evaluator drifted from the simulator: "
+                          "audit max rel err %g over %lld samples",
+                          run.stats.audit_max_rel_err,
+                          static_cast<long long>(run.stats.audit_samples)));
+    }
+    for (const int threads : {1, 3}) {
+      SearchOptions again = opts;
+      again.threads = threads;
+      const SearchResult other = SearchSchedule(graph, gpu, profile, again);
+      if (other.schedule.ToString() != run.schedule.ToString() ||
+          other.best_time != run.best_time || !(other.stats == run.stats)) {
+        fail_unit(StrFormat("rerun at threads=%d diverged (schedule, score, "
+                            "or pipeline stats)", threads));
+      }
+    }
+    SearchOptions wider = opts;
+    wider.beam = opts.beam + 1;
+    const SearchResult wide = SearchSchedule(graph, gpu, profile, wider);
+    if (wide.best_time > run.best_time) {
+      fail_unit(StrFormat("beam %d best %lld worse than beam %d best %lld",
+                          wider.beam, static_cast<long long>(wide.best_time),
+                          opts.beam, static_cast<long long>(run.best_time)));
+    }
+    return run;
   };
-  if (!same_run(SearchSchedule(graph, gpu, profile, tt))) {
-    fail("two-tier rerun diverged (schedule, score, or pipeline stats)");
-  }
-  SearchOptions tt_mt = tt;
-  tt_mt.threads = 3;
-  if (!same_run(SearchSchedule(graph, gpu, profile, tt_mt))) {
-    fail("two-tier run at threads=3 diverged from threads=1");
-  }
+  const SearchResult searched = check_search(/*free_cache_hits=*/false);
+  check_search(/*free_cache_hits=*/true);
 
   // Differential execution: searched vs MakeOooSchedule end to end under
   // the invariant validator — both are dependency-true permutations, so

@@ -6,7 +6,9 @@
 // schedules, not just accepts good ones.
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
+#include <cstdio>
 #include <optional>
 #include <string>
 #include <vector>
@@ -175,6 +177,20 @@ TEST(RunnerCliNegativeTest, RemovedSimThreadsFlagExitsWithUsage) {
   EXPECT_EQ(rc, 2);
   EXPECT_NE(err.find("unknown flag " + flag), std::string::npos) << err;
   EXPECT_NE(err.find("usage:"), std::string::npos) << err;
+}
+
+// The flag that picked the removed per-candidate simulator path must fail
+// loudly. `oobp search` parses its flags in the binary, so the test runs it.
+TEST(SearchCliNegativeTest, RemovedEvalFlagExitsWithUsage) {
+  FILE* pipe = popen(OOBP_CLI " search --eval=exact --budget=0 2>&1", "r");
+  ASSERT_NE(pipe, nullptr);
+  std::string output;
+  for (int c; (c = std::fgetc(pipe)) != EOF;) output.push_back(char(c));
+  const int status = pclose(pipe);
+  ASSERT_TRUE(WIFEXITED(status)) << output;
+  EXPECT_EQ(WEXITSTATUS(status), 2);
+  EXPECT_NE(output.find("unknown flag --eval"), std::string::npos) << output;
+  EXPECT_NE(output.find("usage:"), std::string::npos) << output;
 }
 
 }  // namespace

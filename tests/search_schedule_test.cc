@@ -10,6 +10,8 @@
 //   * enlarging the beam never worsens the best score (portfolio
 //     monotonicity);
 //   * budget=0 degrades to the conventional schedule;
+//   * candidates are analytic-scored under both budget units: the simulator
+//     runs only for the baseline, audits, and each trajectory's final point;
 //   * the genotype decoder is dependency-safe for *arbitrary* genotypes and
 //     maps the conventional genotype to ConventionalIteration exactly.
 
@@ -22,6 +24,7 @@
 #include "src/core/schedule.h"
 #include "src/hw/gpu_spec.h"
 #include "src/nn/layer_builder.h"
+#include "src/nn/model_zoo.h"
 #include "src/nn/train_graph.h"
 #include "src/search/evaluator.h"
 #include "src/search/fast_eval.h"
@@ -176,7 +179,7 @@ TEST(SearchScheduleTest, BeamOneEqualsGreedy) {
     const SearchResult greedy = GreedySchedule(graph, gpu, profile, options);
     EXPECT_EQ(beam1.schedule.ToString(), greedy.schedule.ToString());
     EXPECT_EQ(beam1.best_time, greedy.best_time);
-    EXPECT_EQ(beam1.evaluations, greedy.evaluations);
+    EXPECT_EQ(beam1.stats, greedy.stats);
   }
 }
 
@@ -198,7 +201,7 @@ TEST(SearchScheduleTest, IdenticalOptionsAreByteIdentical) {
   EXPECT_EQ(a.genotype, b.genotype);
   EXPECT_EQ(a.best_time, b.best_time);
   EXPECT_EQ(a.conventional_time, b.conventional_time);
-  EXPECT_EQ(a.evaluations, b.evaluations);
+  EXPECT_EQ(a.stats, b.stats);
 }
 
 TEST(SearchScheduleTest, EnlargingBeamNeverWorsensBestScore) {
@@ -264,20 +267,75 @@ TEST(SearchScheduleTest, SearchKeyHashSeparatesEveryKnob) {
   const NnModel model = RandomModel(rng);
   const GpuSpec gpu = GpuSpec::V100();
   const SystemProfile profile = SystemProfile::TensorFlowXla();
-  const uint64_t base = SearchKeyHash(model, gpu, profile, 4, 1, 400, 1.1, 0);
-  EXPECT_NE(base, SearchKeyHash(model, gpu, profile, 5, 1, 400, 1.1, 0));
-  EXPECT_NE(base, SearchKeyHash(model, gpu, profile, 4, 2, 400, 1.1, 0));
-  EXPECT_NE(base, SearchKeyHash(model, gpu, profile, 4, 1, 401, 1.1, 0));
-  EXPECT_NE(base, SearchKeyHash(model, gpu, profile, 4, 1, 400, 1.2, 0));
-  EXPECT_NE(base,
-            SearchKeyHash(model, GpuSpec::P100(), profile, 4, 1, 400, 1.1, 0));
-  // A scoring-pipeline revision must key differently: old snapshots go
-  // stale instead of replaying under the new evaluator.
-  EXPECT_NE(base, SearchKeyHash(model, gpu, profile, 4, 1, 400, 1.1,
-                                FastScheduleEvaluator::kVersion));
+  const int v = FastScheduleEvaluator::kVersion;
+  const auto key = [&](const GpuSpec& g, int beam, uint64_t seed, int budget,
+                       double cap, int version, bool free_hits) {
+    return SearchKeyHash(model, g, profile, beam, seed, budget, cap, version,
+                         free_hits);
+  };
+  const uint64_t base = key(gpu, 4, 1, 400, 1.1, v, false);
+  EXPECT_NE(base, key(gpu, 5, 1, 400, 1.1, v, false));
+  EXPECT_NE(base, key(gpu, 4, 2, 400, 1.1, v, false));
+  EXPECT_NE(base, key(gpu, 4, 1, 401, 1.1, v, false));
+  EXPECT_NE(base, key(gpu, 4, 1, 400, 1.2, v, false));
+  EXPECT_NE(base, key(GpuSpec::P100(), 4, 1, 400, 1.1, v, false));
+  // Both budget units, and an analytic-evaluator revision under either,
+  // key differently: old snapshots go stale instead of replaying.
+  const uint64_t free_hits = key(gpu, 4, 1, 400, 1.1, v, true);
+  EXPECT_NE(base, free_hits);
+  EXPECT_NE(base, key(gpu, 4, 1, 400, 1.1, v + 1, false));
+  EXPECT_NE(free_hits, key(gpu, 4, 1, 400, 1.1, v + 1, true));
   // Searched keys must never collide with the heuristic's key space for the
   // same scheduling problem (both live in the snapshot's schedules section).
   EXPECT_NE(base, ScheduleKeyHash(model, gpu, profile, 1.1));
+}
+
+// Candidates are scored by the analytic evaluator under both budget units;
+// the simulator runs once for the coordinator's baseline, once per
+// trajectory for its final point, and once per audit — never per candidate.
+TEST(SearchScheduleTest, SimulatorScoresOnlyBaselineAuditsAndFinals) {
+  int64_t audits = 0;
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    Rng rng(seed);
+    const NnModel model = RandomModel(rng);
+    const TrainGraph graph(&model);
+    SearchOptions options;
+    options.seed = seed;
+    options.budget = 30;
+    options.audit_interval = 3;
+    for (const bool free_hits : {false, true}) {
+      for (const int beam : {1, 4}) {
+        options.free_cache_hits = free_hits;
+        options.beam = beam;
+        const SearchStats stats =
+            SearchSchedule(graph, RotatingGpu(seed),
+                           SystemProfile::TensorFlowXla(), options)
+                .stats;
+        EXPECT_EQ(stats.sim_evals, 1 + beam + stats.audit_samples)
+            << "seed " << seed << " free_hits " << free_hits;
+        audits += stats.audit_samples;
+      }
+    }
+  }
+  EXPECT_GT(audits, 0);  // the audit term above is exercised
+}
+
+// Pinned on a zoo model: charging repeated visits leaves fewer analytic
+// evaluations than charging only cache misses, and neither unit can score
+// more distinct candidates than the portfolio's total budget.
+TEST(SearchScheduleTest, VisitUnitSpendsFewerAnalyticEvalsThanFreeHits) {
+  const NnModel model = ResNet(50, 32, 224);
+  const TrainGraph graph(&model);
+  SearchOptions options;
+  options.beam = 2;
+  options.budget = 150;
+  const SearchResult visits = SearchSchedule(
+      graph, GpuSpec::V100(), SystemProfile::TensorFlowXla(), options);
+  options.free_cache_hits = true;
+  const SearchResult free_hits = SearchSchedule(
+      graph, GpuSpec::V100(), SystemProfile::TensorFlowXla(), options);
+  EXPECT_LT(visits.stats.analytic_evals, free_hits.stats.analytic_evals);
+  EXPECT_LE(free_hits.stats.analytic_evals, options.beam * options.budget);
 }
 
 }  // namespace

@@ -30,29 +30,29 @@
 #      the worker-pool and event-counter units (sim_test, event_heap_test),
 #      search_threads_identity_test (the search portfolio on the worker
 #      pool at threads 1/4/8), a `fuzz --jobs 0` smoke over the fleet
-#      family, and an `oobp search --threads=8` run of the parallel
-#      trajectory portfolio, all on the TSan build.
+#      family, and an `oobp search --free-cache-hits --threads=8` run of
+#      the parallel trajectory portfolio, all on the TSan build.
 #   8. Snapshot store: `oobp snapshot build` + `verify` on the Release
 #      build, then the fig07 + fleet goldens replayed from the snapshot
 #      (results must stay byte-identical to the snapshot-less tiers above),
 #      the store-labeled ctest tier (format roundtrip + every corruption
 #      path) on the ASan build, and `snapshot startup`, which emits the
 #      cold-vs-snapshot BENCH_startup.json timings (see DESIGN.md §12).
-#   9. Search baseline + two-tier evaluation pipeline: search-labeled ctest
-#      tier (the 200-seed searched-schedule property battery, the
-#      search_gap_* golden/byte-identity tests, the analytic-evaluator
-#      bit-exactness battery, and the parallel-trajectory byte-identity
-#      test at threads 1/4/8), the search_gap_* scenarios replayed against
-#      their goldens with and without the snapshot from tier 8 (the
-#      optimality-gap metrics must be byte-identical either way), the
-#      two-tier scenarios (search_deep_fig07, search_eval_fidelity,
-#      search_eval_perf) against their goldens, a perf smoke of the
-#      analytic evaluator gated by the perf baseline's analytic-evals count
-#      and evals/sec floor, and 200 ASan seeds of the search fuzz family
-#      (differential searched-vs-heuristic under the SimValidator,
-#      beam-monotonicity metamorphic, two-tier bit-identity incl. threads=3
-#      and zero audit error; every second seed runs — see DESIGN.md
-#      §13-14).
+#   9. Search baseline (candidates scored by the analytic Tier A):
+#      search-labeled ctest tier (the 200-seed searched-schedule property
+#      battery, the search_gap_* golden/byte-identity tests, the
+#      analytic-evaluator bit-exactness battery, and the parallel-trajectory
+#      byte-identity test at threads 1/4/8), the search_gap_* scenarios
+#      replayed against their goldens with and without the snapshot from
+#      tier 8 (the optimality-gap metrics must be byte-identical either
+#      way), search_deep_fig07, search_eval_fidelity and search_eval_perf
+#      against their goldens, a perf smoke of the analytic evaluator gated
+#      by the perf baseline's analytic-evals count and evals/sec floor, and
+#      200 ASan seeds of the search fuzz family (differential
+#      searched-vs-heuristic under the SimValidator; per budget unit:
+#      beam-monotonicity metamorphic, simulator re-score of best_time,
+#      threads=3 bit-identity and zero audit error; every second seed runs
+#      — see DESIGN.md §13-14).
 #
 # Tier matrix (tier x build):
 #   tier 1, 3, 4, 5 -> Release build    (speed; golden gates are exact)
@@ -128,7 +128,7 @@ ctest --test-dir "${TSAN_DIR}" \
 # Parallel trajectory portfolio: more workers than trajectories exercises
 # the pool's cap; the run only has to be race-free (scores are
 # byte-identity-checked by search_threads_identity_test above).
-"${TSAN_DIR}/tools/oobp" search --model=densenet121 --eval=two-tier \
+"${TSAN_DIR}/tools/oobp" search --model=densenet121 --free-cache-hits \
     --beam=4 --budget=150 --seed=7 --threads=8
 
 # --- Tier 8: snapshot store: build/verify/replay/startup + ASan store tier
@@ -161,8 +161,8 @@ ctest --test-dir "${BUILD_DIR}" -L search --output-on-failure
     --snapshot="${SNAPSHOT}" \
     --out "${BUILD_DIR}" --golden "${REPO_ROOT}/bench/golden"
 
-# Two-tier pipeline goldens: deep-budget gap refresh, analytic-vs-simulator
-# fidelity (rank corr >= 0.95, rel err <= 5%), and the eval-perf counters.
+# Deep-budget gap refresh (free cache hits), analytic-vs-simulator fidelity
+# (rank corr >= 0.95, rel err <= 5%), and the eval-perf counters.
 "${BUILD_DIR}/tools/oobp" bench \
     --filter 'search_deep_fig07,search_eval_fidelity,search_eval_perf' \
     --jobs 0 --out "${BUILD_DIR}" --golden "${REPO_ROOT}/bench/golden"

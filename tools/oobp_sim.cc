@@ -14,17 +14,17 @@
 //   oobp_sim replay   --model=densenet121 --schedule=<file>
 //   oobp_sim search   --model=densenet121 --batch=32 [--gpu=v100|p100|titanxp]
 //                     [--beam=N] [--seed=N] [--budget=N] [--snapshot[=<path>]]
-//                     [--eval=exact|two-tier] [--audit-interval=N]
+//                     [--free-cache-hits] [--audit-interval=N]
 //                     [--threads=N]
 //                     [--export-schedule=<file>]
 //                     (search-based scheduler baseline, see src/search;
 //                     prints the heuristic-vs-searched optimality gap and
 //                     machine-verifies every schedule with
-//                     CheckIterationSchedule. --eval=two-tier scores
-//                     candidates with the incremental analytic evaluator
-//                     and defaults the budget to 4000; --threads runs the
+//                     CheckIterationSchedule. --free-cache-hits charges the
+//                     budget only for analytic evaluations, not repeated
+//                     visits, and defaults it to 4000; --threads runs the
 //                     trajectory portfolio on a worker pool, byte-identical
-//                     for any N)
+//                     for any N; unknown flags are a usage error)
 //   oobp_sim bench    [--list] [--filter=<glob>] [--jobs=N] [--out=<dir>]
 //                     [--golden[=<dir>]] [--perf] [--check[=<baseline>]]
 //                     [--param k=v]  (see src/runner; --check gates perf
@@ -42,6 +42,7 @@
 // `single --system=ooo --export-schedule=<file>` saves the computed
 // schedule in the artifact text format for later replay.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -94,6 +95,15 @@ class Flags {
   int GetInt(const std::string& key, int def) const {
     auto it = values_.find(key);
     return it == values_.end() ? def : std::atoi(it->second.c_str());
+  }
+  // The first flag not in `known` ("" when every flag is known).
+  std::string Unknown(std::initializer_list<const char*> known) const {
+    for (const auto& entry : values_) {
+      if (std::find(known.begin(), known.end(), entry.first) == known.end()) {
+        return entry.first;
+      }
+    }
+    return "";
   }
 
  private:
@@ -365,7 +375,16 @@ int RunHybrid(const Flags& flags) {
   return 0;
 }
 
+int Usage();
+
 int RunSearch(const Flags& flags) {
+  const std::string unknown = flags.Unknown(
+      {"model", "batch", "image", "gpu", "snapshot", "beam", "seed", "budget",
+       "free-cache-hits", "audit-interval", "threads", "export-schedule"});
+  if (!unknown.empty()) {
+    std::fprintf(stderr, "search: unknown flag --%s\n", unknown.c_str());
+    return Usage();
+  }
   const NnModel model = MakeModel(flags.Get("model", "densenet121"),
                                   flags.GetInt("batch", 32),
                                   flags.GetInt("image", 224));
@@ -391,19 +410,12 @@ int RunSearch(const Flags& flags) {
   SearchOptions options;
   options.beam = flags.GetInt("beam", 4);
   options.seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
-  options.budget = flags.GetInt("budget", 400);
+  options.free_cache_hits = flags.GetInt("free-cache-hits", 0) != 0;
+  options.budget =
+      flags.GetInt("budget", options.free_cache_hits ? 4000 : 400);
   // --threads parallelizes the trajectory portfolio; results are
   // byte-identical for any value.
   options.threads = std::max(1, flags.GetInt("threads", 1));
-  const std::string eval_mode = flags.Get("eval", "exact");
-  if (eval_mode == "two-tier") {
-    options.eval_mode = SearchEvalMode::kTwoTier;
-    options.budget = flags.GetInt("budget", 4000);
-  } else if (eval_mode != "exact") {
-    std::fprintf(stderr, "search: unknown --eval=%s (exact|two-tier)\n",
-                 eval_mode.c_str());
-    return 2;
-  }
   options.audit_interval = flags.GetInt("audit-interval", 256);
 
   ScheduleEvaluator eval(&model, gpu, profile);
@@ -427,11 +439,10 @@ int RunSearch(const Flags& flags) {
     }
   }
 
-  std::printf("schedule search: %s on %s (beam=%d seed=%d budget=%d "
-              "eval=%s)\n",
+  std::printf("schedule search: %s on %s (beam=%d seed=%d budget=%d%s)\n",
               model.name.c_str(), gpu.name.c_str(), options.beam,
               static_cast<int>(options.seed), options.budget,
-              eval_mode.c_str());
+              options.free_cache_hits ? " free-cache-hits" : "");
   std::printf("conventional:  %.3f ms/iter\n", ToMs(conventional_time));
   std::printf("ooo heuristic: %.3f ms/iter  (%.3fx)\n", ToMs(ooo_time),
               static_cast<double>(conventional_time) / ooo_time);
