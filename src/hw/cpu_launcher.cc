@@ -30,16 +30,16 @@ CpuLauncher::CpuLauncher(SimEngine* engine, Gpu* gpu, Mode mode,
   });
 }
 
-void CpuLauncher::Launch(std::vector<IssueItem> items,
+void CpuLauncher::Launch(const std::vector<IssueItem>& items,
                          std::function<void(size_t, KernelId)> on_issued,
                          std::function<void()> on_all_issued) {
   OOBP_CHECK(!active_) << "a launch is already in progress";
   active_ = true;
   next_index_ = 0;
   issue_busy_ = 0;
-  items_ = std::move(items);
-  item_kernel_ids_.assign(items_.size(), -1);
-  gpu_->ReserveKernels(items_.size());
+  items_ = &items;
+  item_kernel_ids_.assign(items.size(), -1);
+  gpu_->ReserveKernels(items.size());
   on_issued_ = std::move(on_issued);
   on_all_issued_ = std::move(on_all_issued);
 
@@ -47,7 +47,7 @@ void CpuLauncher::Launch(std::vector<IssueItem> items,
     // One graph launch enqueues the entire captured sequence.
     issue_busy_ = graph_launch_latency_;
     engine_->ScheduleAfter(graph_launch_latency_, [this] {
-      if (trace_ != nullptr && !items_.empty()) {
+      if (trace_ != nullptr && !items_->empty()) {
         TraceEvent ev;
         ev.name = "graph_launch";
         ev.category = "issue";
@@ -56,7 +56,7 @@ void CpuLauncher::Launch(std::vector<IssueItem> items,
         ev.duration = graph_launch_latency_;
         trace_->Add(ev);
       }
-      for (size_t i = 0; i < items_.size(); ++i) {
+      for (size_t i = 0; i < items_->size(); ++i) {
         EnqueueItem(i);
       }
       active_ = false;
@@ -70,7 +70,7 @@ void CpuLauncher::Launch(std::vector<IssueItem> items,
 }
 
 void CpuLauncher::IssueNext() {
-  if (next_index_ >= items_.size()) {
+  if (next_index_ >= items_->size()) {
     active_ = false;
     if (on_all_issued_) {
       on_all_issued_();
@@ -82,12 +82,12 @@ void CpuLauncher::IssueNext() {
     return;
   }
   const size_t index = next_index_++;
-  const TimeNs latency = items_[index].issue_latency;
+  const TimeNs latency = (*items_)[index].issue_latency;
   issue_busy_ += latency;
   engine_->ScheduleAfter(latency, [this, index, latency] {
     if (trace_ != nullptr) {
       TraceEvent ev;
-      ev.name = "issue:" + items_[index].name;
+      ev.name = "issue:" + (*items_)[index].name;
       ev.category = "issue";
       ev.track = issue_track_;
       ev.start = engine_->now() - latency;
@@ -100,12 +100,11 @@ void CpuLauncher::IssueNext() {
 }
 
 KernelId CpuLauncher::EnqueueItem(size_t index) {
-  IssueItem& item = items_[index];
+  const IssueItem& item = (*items_)[index];
   KernelDesc desc;
-  // The item is never read again after this call (any trace event naming it
-  // was emitted by the caller first), so its labels can be stolen.
-  desc.name = std::move(item.name);
-  desc.category = std::move(item.category);
+  // Labels are empty unless the plan was built for a traced run.
+  desc.name = item.name;
+  desc.category = item.category;
   desc.solo_duration = item.solo_duration;
   desc.thread_blocks = item.thread_blocks;
   KernelId deps[IssueItem::kMaxDeps];

@@ -70,9 +70,17 @@ class CpuLauncher {
   // Starts issuing `items` at the current simulation time. `on_issued(i, id)`
   // reports the KernelId assigned to item i; `on_all_issued` fires when the
   // executor thread finishes the sequence. At most one Launch may be active.
-  void Launch(std::vector<IssueItem> items,
+  //
+  // The launcher borrows `items` and never modifies it: the caller keeps the
+  // vector alive and unchanged until the last item is issued (in practice,
+  // for the whole simulation run), so several launchers may share one plan.
+  void Launch(const std::vector<IssueItem>& items,
               std::function<void(size_t, KernelId)> on_issued = nullptr,
               std::function<void()> on_all_issued = nullptr);
+  // A temporary would dangle before its items are issued.
+  void Launch(std::vector<IssueItem>&& items,
+              std::function<void(size_t, KernelId)> on_issued = nullptr,
+              std::function<void()> on_all_issued = nullptr) = delete;
 
   bool active() const { return active_; }
   // Host time spent issuing during the last (or current) launch.
@@ -95,7 +103,7 @@ class CpuLauncher {
   int in_flight_ = 0;
   size_t next_index_ = 0;
   TimeNs issue_busy_ = 0;
-  std::vector<IssueItem> items_;
+  const std::vector<IssueItem>* items_ = nullptr;  // borrowed, see Launch
   std::vector<KernelId> item_kernel_ids_;
   std::function<void(size_t, KernelId)> on_issued_;
   std::function<void()> on_all_issued_;

@@ -51,6 +51,8 @@ KernelId Gpu::Enqueue(StreamId stream, KernelDesc desc, const KernelId* deps,
 
   const KernelId id = static_cast<KernelId>(kernels_.size());
   Kernel k;
+  k.solo_duration = desc.solo_duration;
+  k.thread_blocks = desc.thread_blocks;
   k.stream = stream;
   k.enqueue_time = engine_->now();
   for (size_t d = 0; d < num_deps; ++d) {
@@ -59,11 +61,13 @@ KernelId Gpu::Enqueue(StreamId stream, KernelDesc desc, const KernelId* deps,
     OOBP_CHECK_LT(dep, id) << "dependencies must be enqueued before dependents";
     if (!kernels_[dep].done) {
       ++k.deps_pending;
-      kernels_[dep].AddDependent(id);
+      AddDependent(dep, id);
     }
   }
-  k.desc = std::move(desc);
-  kernels_.push_back(std::move(k));
+  kernels_.push_back(k);
+  if (trace_ != nullptr) {
+    labels_.push_back({std::move(desc.name), std::move(desc.category)});
+  }
   streams_[stream].queue.push_back(id);
   MaybeDispatch(stream);
   if (observer_ != nullptr) {
@@ -72,46 +76,60 @@ KernelId Gpu::Enqueue(StreamId stream, KernelDesc desc, const KernelId* deps,
   return id;
 }
 
-bool Gpu::Done(KernelId id) const {
-  OOBP_CHECK_GE(id, 0);
-  OOBP_CHECK_LT(id, static_cast<KernelId>(kernels_.size()));
-  return kernels_[id].done;
+void Gpu::AddDependent(KernelId id, KernelId dependent) {
+  Kernel& k = kernels_[id];
+  if (k.first_dependent < 0) {
+    k.first_dependent = dependent;
+    return;
+  }
+  OOBP_CHECK_LT(extra_dependents_.size(), static_cast<size_t>(INT32_MAX));
+  const int32_t node = static_cast<int32_t>(extra_dependents_.size());
+  extra_dependents_.push_back({dependent, -1});
+  if (k.extra_tail < 0) {
+    k.extra_head = node;
+  } else {
+    extra_dependents_[k.extra_tail].next = node;
+  }
+  k.extra_tail = node;
 }
 
+void Gpu::ReserveKernels(size_t n) {
+  kernels_.reserve(kernels_.size() + n);
+  if (trace_ != nullptr) {
+    labels_.reserve(labels_.size() + n);
+  }
+}
+
+const Gpu::Kernel& Gpu::At(KernelId id) const {
+  OOBP_CHECK_GE(id, 0);
+  OOBP_CHECK_LT(id, static_cast<KernelId>(kernels_.size()));
+  return kernels_[id];
+}
+
+bool Gpu::Done(KernelId id) const { return At(id).done; }
+
 TimeNs Gpu::CompletionTime(KernelId id) const {
-  OOBP_CHECK(Done(id));
-  return kernels_[id].done_time;
+  const Kernel& k = At(id);
+  OOBP_CHECK(k.done);
+  return k.done_time;
 }
 
 TimeNs Gpu::StartTime(KernelId id) const {
-  OOBP_CHECK_GE(id, 0);
-  OOBP_CHECK_LT(id, static_cast<KernelId>(kernels_.size()));
-  OOBP_CHECK(kernels_[id].started);
-  return kernels_[id].start_time;
+  const Kernel& k = At(id);
+  OOBP_CHECK(k.started);
+  return k.start_time;
 }
 
-bool Gpu::Started(KernelId id) const {
-  OOBP_CHECK_GE(id, 0);
-  OOBP_CHECK_LT(id, static_cast<KernelId>(kernels_.size()));
-  return kernels_[id].started;
-}
+bool Gpu::Started(KernelId id) const { return At(id).started; }
 
-StreamId Gpu::KernelStream(KernelId id) const {
-  OOBP_CHECK_GE(id, 0);
-  OOBP_CHECK_LT(id, static_cast<KernelId>(kernels_.size()));
-  return kernels_[id].stream;
-}
+StreamId Gpu::KernelStream(KernelId id) const { return At(id).stream; }
 
 TimeNs Gpu::KernelEnqueueTime(KernelId id) const {
-  OOBP_CHECK_GE(id, 0);
-  OOBP_CHECK_LT(id, static_cast<KernelId>(kernels_.size()));
-  return kernels_[id].enqueue_time;
+  return At(id).enqueue_time;
 }
 
-const KernelDesc& Gpu::KernelDescOf(KernelId id) const {
-  OOBP_CHECK_GE(id, 0);
-  OOBP_CHECK_LT(id, static_cast<KernelId>(kernels_.size()));
-  return kernels_[id].desc;
+TimeNs Gpu::KernelSoloDuration(KernelId id) const {
+  return At(id).solo_duration;
 }
 
 int Gpu::StreamPriority(StreamId stream) const {
@@ -141,10 +159,10 @@ void Gpu::BeginExecution(KernelId id) {
   k.started = true;
   k.start_time = engine_->now();
   const double max_rate = EffectiveOccupancy(
-      k.desc.thread_blocks, static_cast<double>(spec_.slot_capacity()));
+      k.thread_blocks, static_cast<double>(spec_.slot_capacity()));
   // A kernel running alone progresses at `max_rate` slots, so its total work
   // in slot-ns equals solo_duration * max_rate.
-  const double work = static_cast<double>(k.desc.solo_duration) * max_rate;
+  const double work = static_cast<double>(k.solo_duration) * max_rate;
   const int priority = streams_[k.stream].priority;
   slots_.Add(work, max_rate, priority, [this, id] { FinishKernel(id); });
   if (observer_ != nullptr) {
@@ -153,26 +171,25 @@ void Gpu::BeginExecution(KernelId id) {
 }
 
 void Gpu::FinishKernel(KernelId id) {
-  // Callbacks below (dependents, on_kernel_done_) may Enqueue new kernels and
-  // reallocate kernels_, so copy everything needed out of the record first.
+  // Callbacks below (done listeners) may Enqueue new kernels and reallocate
+  // kernels_ and extra_dependents_, so copy what is needed out of the record
+  // first and walk the arena by index.
   StreamId stream;
   KernelId first_dependent;
-  std::vector<KernelId> more_dependents;
+  int32_t extra;
   {
     Kernel& k = kernels_[id];
     k.done = true;
     k.done_time = engine_->now();
     ++completed_;
     stream = k.stream;
-    // The dependent list is never read again once the kernel is done (later
-    // Enqueues see k.done and skip it), so steal it instead of copying.
     first_dependent = k.first_dependent;
-    more_dependents = std::move(k.more_dependents);
+    extra = k.extra_head;
 
     if (trace_ != nullptr) {
       TraceEvent ev;
-      ev.name = k.desc.name;
-      ev.category = k.desc.category;
+      ev.name = labels_[id].name;
+      ev.category = labels_[id].category;
       ev.track = trace_track_base_ + k.stream;
       ev.start = k.start_time;
       ev.duration = k.done_time - k.start_time;
@@ -189,7 +206,8 @@ void Gpu::FinishKernel(KernelId id) {
   s.queue.pop_front();
   s.head_dispatched = false;
 
-  // Wake dependents whose last dependency this was.
+  // Wake dependents whose last dependency this was, in the order they were
+  // enqueued.
   const auto wake = [this](KernelId dep_id) {
     Kernel& d = kernels_[dep_id];
     OOBP_CHECK_GT(d.deps_pending, 0);
@@ -200,8 +218,10 @@ void Gpu::FinishKernel(KernelId id) {
   if (first_dependent >= 0) {
     wake(first_dependent);
   }
-  for (KernelId dep_id : more_dependents) {
-    wake(dep_id);
+  while (extra >= 0) {
+    const ExtraDependent node = extra_dependents_[extra];
+    wake(node.id);
+    extra = node.next;
   }
   for (const auto& listener : done_listeners_) {
     listener(id);

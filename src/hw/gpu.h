@@ -18,6 +18,7 @@
 #include <deque>
 #include <functional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "src/common/check.h"
@@ -43,6 +44,9 @@ inline double EffectiveOccupancy(double blocks, double capacity) {
   return blocks / waves;
 }
 
+// What Enqueue needs to know about a kernel. The GPU keeps the name and
+// category only when a TraceRecorder is attached (they label trace spans and
+// nothing else); untraced callers leave them empty.
 struct KernelDesc {
   std::string name;
   std::string category;      // trace category: "fwd", "dO", "dW", ...
@@ -61,9 +65,9 @@ class Gpu;
 class GpuObserver {
  public:
   virtual ~GpuObserver() = default;
-  // `deps` is the resolved dependency span for this enqueue (valid only for
-  // the duration of the call; it may differ from KernelDescOf(id).deps when
-  // the span-based Enqueue overload was used).
+  // `deps` is the resolved dependency span for this enqueue, valid only for
+  // the duration of the call. The GPU keeps no copy of it: a kernel's
+  // dependencies are only observable through this callback.
   virtual void OnKernelEnqueued(const Gpu& gpu, KernelId id,
                                 const KernelId* deps, size_t num_deps) {
     (void)gpu, (void)id, (void)deps, (void)num_deps;
@@ -102,7 +106,7 @@ class Gpu {
   // Pre-sizes the kernel table for `n` further Enqueue calls (optional; a
   // launcher that knows its sequence length avoids repeated regrowth of the
   // per-kernel records).
-  void ReserveKernels(size_t n) { kernels_.reserve(kernels_.size() + n); }
+  void ReserveKernels(size_t n);
 
   bool Done(KernelId id) const;
   // Completion timestamp; kernel must be done.
@@ -140,7 +144,7 @@ class Gpu {
   bool Started(KernelId id) const;
   StreamId KernelStream(KernelId id) const;
   TimeNs KernelEnqueueTime(KernelId id) const;
-  const KernelDesc& KernelDescOf(KernelId id) const;
+  TimeNs KernelSoloDuration(KernelId id) const;
   int StreamPriority(StreamId stream) const;
 
   // At most one observer; pass nullptr to detach. Normally installed through
@@ -148,28 +152,39 @@ class Gpu {
   void SetObserver(GpuObserver* observer) { observer_ = observer; }
 
  private:
+  // Per-kernel state: a flat, trivially copyable record, so the kernel table
+  // regrows by memcpy and is freed without per-record destructors. Labels
+  // live in `labels_` (traced runs only) and dependents beyond the first in
+  // `extra_dependents_`.
   struct Kernel {
-    KernelDesc desc;
-    StreamId stream = 0;
+    TimeNs solo_duration = 0;
+    double thread_blocks = 0;
     TimeNs enqueue_time = 0;
     TimeNs start_time = -1;  // after setup overhead
     TimeNs done_time = -1;
-    bool started = false;
-    bool done = false;
+    StreamId stream = 0;
     int deps_pending = 0;
     // Kernels waiting on this one. Nearly every kernel has exactly one
     // dependent (its stream successor's cross-stream wait), so the first is
-    // stored inline and only the rare extras hit the heap.
+    // stored inline; the rare extras form a list through extra_dependents_
+    // in insertion order (indices, -1 = none).
     KernelId first_dependent = -1;
-    std::vector<KernelId> more_dependents;
+    int32_t extra_head = -1;
+    int32_t extra_tail = -1;
+    bool started = false;
+    bool done = false;
+  };
+  static_assert(std::is_trivially_copyable_v<Kernel>);
+  static_assert(sizeof(Kernel) <= 72);
 
-    void AddDependent(KernelId id) {
-      if (first_dependent < 0) {
-        first_dependent = id;
-      } else {
-        more_dependents.push_back(id);
-      }
-    }
+  // One node of the per-GPU, append-only extra-dependent arena.
+  struct ExtraDependent {
+    KernelId id;
+    int32_t next;  // next node of the same kernel's list, -1 = last
+  };
+  struct KernelLabel {
+    std::string name;
+    std::string category;
   };
   struct Stream {
     int priority = 0;
@@ -181,6 +196,8 @@ class Gpu {
   void MaybeDispatch(StreamId stream);
   void BeginExecution(KernelId id);
   void FinishKernel(KernelId id);
+  void AddDependent(KernelId id, KernelId dependent);
+  const Kernel& At(KernelId id) const;
 
   SimEngine* engine_;
   GpuSpec spec_;
@@ -189,6 +206,8 @@ class Gpu {
   FluidProcessor slots_;
   std::vector<Stream> streams_;
   std::vector<Kernel> kernels_;
+  std::vector<ExtraDependent> extra_dependents_;
+  std::vector<KernelLabel> labels_;  // by KernelId; empty unless traced
   size_t completed_ = 0;
   std::vector<std::function<void(KernelId)>> done_listeners_;
   GpuObserver* observer_ = nullptr;

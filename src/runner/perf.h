@@ -54,8 +54,9 @@ struct PerfOptions {
   // rather than simulator events/sec and gated by the baseline's floor
   // entry.
   std::string filter =
-      "fig07_*,fig10_*,fig13_*,serve_*,steady_*,fleet_rr_64,"
-      "fleet_corun_ooo_64,cluster_ps_*,search_eval_perf";
+      "fig07_*,fig10_*,fig13_*,serve_*,steady_*,fleet_rr_64,fleet_ll_64,"
+      "fleet_p2c_64,fleet_corun_baseline_64,fleet_corun_ooo_64,cluster_ps_*,"
+      "search_eval_perf";
   int warmup = 1;                  // untimed runs per scenario
   int repeats = 3;                 // timed runs per scenario
   std::string output_dir = ".";    // BENCH_sim_perf.json lands here

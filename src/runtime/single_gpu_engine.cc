@@ -195,13 +195,13 @@ TrainSimOutcome SimulateTraining(const SingleGpuConfig& config,
                        config.profile.graph_launch_latency, trace,
                        /*issue_track=*/100, config.profile.issue_queue_depth);
 
-  TrainIssuePlan plan =
+  const TrainIssuePlan plan =
       BuildTrainIssuePlan(model, schedule, cost, iterations, main_stream,
                           sub_stream, /*label_items=*/trace != nullptr);
 
   // Run to completion, tracking per-item kernel ids for iteration timing.
   std::vector<KernelId> item_kernel(plan.items.size(), -1);
-  launcher.Launch(std::move(plan.items), [&](size_t index, KernelId id) {
+  launcher.Launch(plan.items, [&](size_t index, KernelId id) {
     item_kernel[index] = id;
   });
   engine.Run();

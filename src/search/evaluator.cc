@@ -37,12 +37,12 @@ TimeNs ScheduleEvaluator::IterationTime(const IterationSchedule& schedule) {
                        profile_.graph_launch_latency, /*trace=*/nullptr,
                        /*issue_track=*/100, profile_.issue_queue_depth);
 
-  TrainIssuePlan plan =
+  const TrainIssuePlan plan =
       BuildTrainIssuePlan(*model_, schedule, *cost_, kIterations, main_stream,
                           sub_stream, /*label_items=*/false);
 
   std::vector<KernelId> item_kernel(plan.items.size(), -1);
-  launcher.Launch(std::move(plan.items), [&](size_t index, KernelId id) {
+  launcher.Launch(plan.items, [&](size_t index, KernelId id) {
     item_kernel[index] = id;
   });
   engine.Run();

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 
 #include "src/common/check.h"
@@ -25,8 +24,8 @@ struct Batch {
 };
 
 // One replica: a GPU with the fixed three-stream layout, its dynamic
-// batcher, and (co-run mode) its own CPU launcher replaying the training
-// issue plan.
+// batcher, and (co-run mode) its own CPU launcher replaying the shared
+// training issue plan.
 struct Replica {
   std::unique_ptr<Gpu> gpu;
   StreamId main_stream = 0;
@@ -34,7 +33,9 @@ struct Replica {
   StreamId serve_stream = 0;
   std::unique_ptr<DynamicBatcher> batcher;
   std::vector<Batch> batches;
-  std::unordered_map<KernelId, size_t> last_kernel_to_batch;
+  // The inference stream is in-order, so batches finish in index order and
+  // batches[next_done_batch] is always the next one to complete.
+  size_t next_done_batch = 0;
   std::unique_ptr<CpuLauncher> launcher;
   std::vector<KernelId> item_kernel;
 };
@@ -79,7 +80,7 @@ FleetMetrics FleetEngine::RunImpl(const NnModel* train_model,
 
   // Training issue plan, also shared (same model/schedule on every replica;
   // stream ids match because every replica creates streams in the same
-  // order).
+  // order). Every replica's launcher borrows it, so it outlives the run.
   TrainIssuePlan plan;
   if (train_model != nullptr) {
     plan = BuildTrainIssuePlan(*train_model, *train_schedule, cost,
@@ -145,17 +146,16 @@ FleetMetrics FleetEngine::RunImpl(const NnModel* train_model,
                   }
                   b.last = kid;
                 }
-                rr.last_kernel_to_batch[b.last] = batch_index;
               });
         });
 
     rep.gpu->AddKernelDoneListener([&, r](KernelId id) {
       Replica& self = replicas[static_cast<size_t>(r)];
-      const auto it = self.last_kernel_to_batch.find(id);
-      if (it == self.last_kernel_to_batch.end()) {
+      if (self.next_done_batch == self.batches.size() ||
+          id != self.batches[self.next_done_batch].last) {
         return;
       }
-      const Batch& batch = self.batches[it->second];
+      const Batch& batch = self.batches[self.next_done_batch++];
       const TimeNs done = engine.now();
       const TimeNs exec_start = self.gpu->StartTime(batch.first);
       for (int64_t rid : batch.requests) {
@@ -171,11 +171,9 @@ FleetMetrics FleetEngine::RunImpl(const NnModel* train_model,
           &engine, rep.gpu.get(), CpuLauncher::Mode::kPrecompiled,
           config_.profile.graph_launch_latency);
       rep.item_kernel.assign(plan.items.size(), -1);
-      rep.launcher->Launch(
-          std::vector<IssueItem>(plan.items),
-          [&, r](size_t index, KernelId id) {
-            replicas[static_cast<size_t>(r)].item_kernel[index] = id;
-          });
+      rep.launcher->Launch(plan.items, [&, r](size_t index, KernelId id) {
+        replicas[static_cast<size_t>(r)].item_kernel[index] = id;
+      });
     }
   }
 
@@ -217,16 +215,21 @@ FleetMetrics FleetEngine::RunImpl(const NnModel* train_model,
   // -- Aggregate serving metrics -------------------------------------------
   FleetMetrics metrics;
   int64_t total_batches = 0;
+  std::vector<int64_t> replica_batches(static_cast<size_t>(fleet_size), 0);
   metrics.replica_completed.assign(static_cast<size_t>(fleet_size), 0);
   for (int r = 0; r < fleet_size; ++r) {
     const Replica& rep = replicas[static_cast<size_t>(r)];
+    int64_t& done_batches = replica_batches[static_cast<size_t>(r)];
     for (const Batch& batch : rep.batches) {
       if (batch.last >= 0 && rep.gpu->Done(batch.last)) {
-        ++total_batches;
+        ++done_batches;
         metrics.replica_completed[static_cast<size_t>(r)] +=
             static_cast<int64_t>(batch.requests.size());
       }
     }
+    // A skipped or stuck batch would silently drop its request records.
+    OOBP_CHECK_EQ(static_cast<int64_t>(rep.next_done_batch), done_batches);
+    total_batches += done_batches;
   }
   metrics.serve = ComputeServeMetrics(records, total_batches, config_.horizon,
                                       config_.slo);
@@ -238,20 +241,14 @@ FleetMetrics FleetEngine::RunImpl(const NnModel* train_model,
     std::vector<RequestRecord> subset;
     for (int r = 0; r < fleet_size; ++r) {
       subset.clear();
-      int64_t batches_r = 0;
       for (size_t i = 0; i < records.size(); ++i) {
         if (replica_of[i] == r) {
           subset.push_back(records[i]);
         }
       }
-      const Replica& rep = replicas[static_cast<size_t>(r)];
-      for (const Batch& batch : rep.batches) {
-        if (batch.last >= 0 && rep.gpu->Done(batch.last)) {
-          ++batches_r;
-        }
-      }
       metrics.per_replica[static_cast<size_t>(r)] = ComputeServeMetrics(
-          subset, batches_r, config_.horizon, config_.slo);
+          subset, replica_batches[static_cast<size_t>(r)], config_.horizon,
+          config_.slo);
     }
   }
 

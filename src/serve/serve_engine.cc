@@ -1,6 +1,5 @@
 #include "src/serve/serve_engine.h"
 
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -80,7 +79,10 @@ ServeMetrics ServeEngine::RunImpl(const NnModel* train_model,
   engine.Reserve(arrivals.size() + 256);
 
   std::vector<Batch> batches;
-  std::unordered_map<KernelId, size_t> last_kernel_to_batch;
+  // Batches are enqueued in index order onto one in-order stream, so they
+  // also finish in index order: the next batch to complete is always
+  // batches[next_done_batch].
+  size_t next_done_batch = 0;
   DynamicBatcher batcher(
       &engine, config_.batcher, [&](const std::vector<int64_t>& ids) {
         const size_t batch_index = batches.size();
@@ -111,16 +113,15 @@ ServeMetrics ServeEngine::RunImpl(const NnModel* train_model,
                                  }
                                  b.last = kid;
                                }
-                               last_kernel_to_batch[b.last] = batch_index;
                              });
       });
 
   gpu.AddKernelDoneListener([&](KernelId id) {
-    const auto it = last_kernel_to_batch.find(id);
-    if (it == last_kernel_to_batch.end()) {
+    if (next_done_batch == batches.size() ||
+        id != batches[next_done_batch].last) {
       return;
     }
-    const Batch& batch = batches[it->second];
+    const Batch& batch = batches[next_done_batch++];
     const TimeNs done = engine.now();
     const TimeNs exec_start = gpu.StartTime(batch.first);
     for (int64_t rid : batch.requests) {
@@ -148,7 +149,7 @@ ServeMetrics ServeEngine::RunImpl(const NnModel* train_model,
                                train_iterations, main_stream, sub_stream,
                                /*label_items=*/false);
     item_kernel.assign(plan.items.size(), -1);
-    launcher.Launch(std::move(plan.items),
+    launcher.Launch(plan.items,
                     [&](size_t index, KernelId id) { item_kernel[index] = id; });
   }
 
@@ -186,6 +187,8 @@ ServeMetrics ServeEngine::RunImpl(const NnModel* train_model,
       ++completed_batches;
     }
   }
+  // A skipped or stuck batch would silently drop its request records.
+  OOBP_CHECK_EQ(static_cast<int64_t>(next_done_batch), completed_batches);
   return ComputeServeMetrics(records, completed_batches, config_.horizon,
                              config_.slo);
 }

@@ -98,7 +98,7 @@ void SimValidator::OnKernelEnqueued(const Gpu& gpu, KernelId id,
   KernelRecord rec;
   rec.enqueue = gpu.engine().now();
   rec.stream = gpu.KernelStream(id);
-  rec.solo_duration = gpu.KernelDescOf(id).solo_duration;
+  rec.solo_duration = gpu.KernelSoloDuration(id);
   for (size_t d = 0; d < num_deps; ++d) {
     if (deps[d] < 0 || deps[d] >= id) {
       AddViolation(StrFormat("gpu %s: kernel %lld depends on %lld, which is "

@@ -5,6 +5,7 @@
 #include "src/hw/cpu_launcher.h"
 #include "src/hw/gpu.h"
 #include "src/sim/engine.h"
+#include "src/trace/trace.h"
 
 namespace oobp {
 namespace {
@@ -145,6 +146,54 @@ TEST(CpuLauncherTest, QueueDepthExposesIssueAfterBlocking) {
   EXPECT_EQ(gpu.CompletionTime(ids[0]), 150);
   EXPECT_EQ(gpu.CompletionTime(ids[1]), 300);
   EXPECT_EQ(gpu.CompletionTime(ids[2]), 450);
+}
+
+TEST(CpuLauncherTest, LaunchersShareOneBorrowedPlan) {
+  // Two GPUs on one engine replay the same plan through their own
+  // launchers, the way a fleet's replicas share one training plan. Only the
+  // first GPU is traced, so only it keeps kernel labels.
+  SimEngine engine;
+  TraceRecorder trace;
+  Gpu traced(&engine, TestSpec(), &trace);
+  Gpu plain(&engine, TestSpec());
+  std::vector<IssueItem> plan;
+  for (Gpu* gpu : {&traced, &plain}) {
+    gpu->CreateStream(0);
+    gpu->CreateStream(1);
+  }
+  for (int i = 0; i < 6; ++i) {
+    IssueItem it = Item(i % 2, 100 + 10 * i, 30, i % 2 ? "sub" : "main");
+    it.category = i % 2 ? "dW" : "fwd";
+    if (i >= 2) {
+      it.AddDep(static_cast<size_t>(i - 1));
+    }
+    plan.push_back(it);
+  }
+  const std::vector<IssueItem> original = plan;
+
+  CpuLauncher first(&engine, &traced, CpuLauncher::Mode::kPerOp);
+  CpuLauncher second(&engine, &plain, CpuLauncher::Mode::kPerOp);
+  std::vector<KernelId> first_ids(plan.size(), -1);
+  std::vector<KernelId> second_ids(plan.size(), -1);
+  first.Launch(plan, [&](size_t i, KernelId id) { first_ids[i] = id; });
+  second.Launch(plan, [&](size_t i, KernelId id) { second_ids[i] = id; });
+  engine.Run();
+
+  for (size_t i = 0; i < plan.size(); ++i) {
+    EXPECT_EQ(traced.StartTime(first_ids[i]), plain.StartTime(second_ids[i]));
+    EXPECT_EQ(traced.CompletionTime(first_ids[i]),
+              plain.CompletionTime(second_ids[i]));
+    // The launchers copied the labels; the shared plan is untouched.
+    EXPECT_EQ(plan[i].name, original[i].name);
+    EXPECT_EQ(plan[i].category, original[i].category);
+  }
+  // Kernel spans carry the plan's labels (issue spans are off: no issue
+  // trace was given to the launchers).
+  ASSERT_EQ(trace.events().size(), plan.size());
+  for (const TraceEvent& ev : trace.events()) {
+    EXPECT_TRUE(ev.name == "main" || ev.name == "sub") << ev.name;
+    EXPECT_EQ(ev.category, ev.name == "main" ? "fwd" : "dW");
+  }
 }
 
 }  // namespace

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/hw/gpu.h"
 #include "src/sim/engine.h"
 #include "src/trace/trace.h"
@@ -27,6 +29,15 @@ KernelDesc Desc(const char* name, TimeNs dur, double blocks) {
   d.thread_blocks = blocks;
   return d;
 }
+
+// Records the order in which kernels begin executing.
+class StartOrderObserver : public GpuObserver {
+ public:
+  void OnKernelStarted(const Gpu&, KernelId id) override {
+    started.push_back(id);
+  }
+  std::vector<KernelId> started;
+};
 
 TEST(EffectiveOccupancyTest, TailUnderutilization) {
   // Fewer blocks than capacity: all resident at once.
@@ -180,6 +191,99 @@ TEST(GpuTest, SmBusyIntegralMatchesWork) {
   gpu.Enqueue(s, Desc("a", 1000, 50));  // work = 1000 * 50
   engine.Run();
   EXPECT_NEAR(gpu.SmBusyIntegral(), 50000.0, 100.0);
+}
+
+TEST(GpuTest, CrossStreamDependentsStartInEnqueueOrder) {
+  // One kernel with four cross-stream dependents: the first is stored in the
+  // record, the other three in the extra-dependent arena. All four become
+  // ready at the same instant, so their start order is the wake order, which
+  // must be the order they were enqueued in. Streams are used out of
+  // creation order so stream index and priority disagree with that order.
+  StartOrderObserver observer;
+  SimEngine engine;
+  Gpu gpu(&engine, TestSpec());
+  gpu.SetObserver(&observer);
+  std::vector<StreamId> streams;
+  for (int p = 0; p < 5; ++p) {
+    streams.push_back(gpu.CreateStream(p));
+  }
+  const KernelId a = gpu.Enqueue(streams[0], Desc("a", 100, 100));
+  std::vector<KernelId> dependents;
+  for (int s : {4, 2, 3, 1}) {
+    KernelDesc d = Desc("d", 100, 10);
+    d.deps.push_back(a);
+    dependents.push_back(gpu.Enqueue(streams[s], d));
+  }
+  engine.Run();
+  ASSERT_EQ(observer.started.size(), 5u);
+  EXPECT_EQ(observer.started[0], a);
+  EXPECT_EQ(std::vector<KernelId>(observer.started.begin() + 1,
+                                  observer.started.end()),
+            dependents);
+  for (KernelId d : dependents) {
+    EXPECT_EQ(gpu.StartTime(d), gpu.CompletionTime(a));
+  }
+  gpu.SetObserver(nullptr);
+}
+
+TEST(GpuTest, DoneListenerGrowsDependentArenaDuringFinish) {
+  // `a` finishes first and has arena-held dependents; its done listener
+  // enqueues many kernels that wait on the still-running `slow`, which
+  // appends to the arena and regrows the kernel table and the arena while
+  // FinishKernel(a) is on the stack. Everything must still complete, with
+  // every `slow` dependent woken only once `slow` is done.
+  SimEngine engine;
+  Gpu gpu(&engine, TestSpec());
+  std::vector<StreamId> streams;
+  for (int p = 0; p < 4; ++p) {
+    streams.push_back(gpu.CreateStream(p));
+  }
+  const KernelId slow = gpu.Enqueue(streams[0], Desc("slow", 1000, 10));
+  const KernelId a = gpu.Enqueue(streams[1], Desc("a", 100, 10));
+  std::vector<KernelId> a_dependents;
+  for (int s : {2, 3, 2}) {
+    KernelDesc d = Desc("after_a", 50, 10);
+    d.deps.push_back(a);
+    a_dependents.push_back(gpu.Enqueue(streams[s], d));
+  }
+  std::vector<KernelId> slow_dependents;
+  gpu.AddKernelDoneListener([&](KernelId id) {
+    if (id != a) {
+      return;
+    }
+    for (int i = 0; i < 256; ++i) {
+      KernelDesc d = Desc("after_slow", 10, 10);
+      d.deps.push_back(slow);
+      slow_dependents.push_back(gpu.Enqueue(streams[1 + i % 3], d));
+    }
+  });
+  engine.Run();
+  EXPECT_EQ(gpu.CompletionTime(a), 100);
+  EXPECT_EQ(gpu.StartTime(a_dependents[0]), 100);
+  EXPECT_EQ(gpu.StartTime(a_dependents[1]), 100);
+  EXPECT_EQ(gpu.CompletionTime(slow), 1000);
+  ASSERT_EQ(slow_dependents.size(), 256u);
+  for (KernelId d : slow_dependents) {
+    ASSERT_TRUE(gpu.Done(d));
+    EXPECT_GE(gpu.StartTime(d), gpu.CompletionTime(slow));
+  }
+  EXPECT_EQ(gpu.kernels_completed(), gpu.kernels_enqueued());
+  EXPECT_EQ(gpu.kernels_enqueued(), 2u + 3u + 256u);
+}
+
+TEST(GpuTest, KernelSoloDurationOfEnqueuedKernel) {
+  SimEngine engine;
+  Gpu gpu(&engine, TestSpec());
+  const StreamId s = gpu.CreateStream(0);
+  const KernelId a = gpu.Enqueue(s, Desc("a", 1234, 100));
+  const KernelId b = gpu.Enqueue(s, Desc("b", 0, 100));
+  // Readable while the kernel is still queued, and unchanged once it ran.
+  EXPECT_FALSE(gpu.Started(a));
+  EXPECT_EQ(gpu.KernelSoloDuration(a), 1234);
+  EXPECT_EQ(gpu.KernelSoloDuration(b), 0);
+  engine.Run();
+  EXPECT_EQ(gpu.KernelSoloDuration(a), 1234);
+  EXPECT_EQ(gpu.CompletionTime(a), 1234);
 }
 
 }  // namespace

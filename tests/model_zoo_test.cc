@@ -182,8 +182,8 @@ INSTANTIATE_TEST_SUITE_P(
                       MobileNetV3Large(1.0, 32), Bert(12, 8), Bert(24, 8),
                       Bert(48, 4), Gpt3Medium(4), RnnModel(16, 64),
                       Ffnn(16, 64)),
-    [](const ::testing::TestParamInfo<NnModel>& info) {
-      std::string name = info.param.name;
+    [](const ::testing::TestParamInfo<NnModel>& param_info) {
+      std::string name = param_info.param.name;
       for (char& c : name) {
         if (!std::isalnum(static_cast<unsigned char>(c))) {
           c = '_';

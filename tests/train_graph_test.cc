@@ -129,8 +129,8 @@ INSTANTIATE_TEST_SUITE_P(AllModels, GraphOrderTest,
                                            MobileNetV3Large(1.0, 8),
                                            Bert(12, 4), RnnModel(16, 16),
                                            Ffnn(16, 16)),
-                         [](const ::testing::TestParamInfo<NnModel>& info) {
-                           std::string name = info.param.name;
+                         [](const ::testing::TestParamInfo<NnModel>& param_info) {
+                           std::string name = param_info.param.name;
                            for (char& c : name) {
                              if (!std::isalnum(static_cast<unsigned char>(c))) {
                                c = '_';
