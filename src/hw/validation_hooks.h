@@ -11,7 +11,9 @@
 // The registration is thread-local because the parallel scenario runner
 // executes scenarios on a thread pool: each scenario's simulations are
 // single-threaded, so a per-thread active validator is race-free and two
-// concurrently running scenarios can be validated independently.
+// concurrently running scenarios can be validated independently. (The
+// search portfolio, the one multi-threaded scenario body, runs inline while
+// hooks are installed.)
 
 #ifndef OOBP_SRC_HW_VALIDATION_HOOKS_H_
 #define OOBP_SRC_HW_VALIDATION_HOOKS_H_

@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "src/common/check.h"
 #include "src/common/rng.h"
+#include "src/hw/validation_hooks.h"
 #include "src/search/candidate_cache.h"
 #include "src/search/fast_eval.h"
 #include "src/sim/worker_pool.h"
@@ -150,6 +152,22 @@ std::vector<WgradGene> GreedyMoves(const TrainGraph& graph,
   };
 }
 
+// Scores `cur` with gene `gi` replaced by `move`, in place: the move is
+// kept on a strict improvement and undone otherwise, so no candidate
+// copies the genotype. Returns whether the move was kept.
+bool TryMove(SearchContext& ctx, Genotype& cur, TimeNs& cur_time, size_t gi,
+             const WgradGene& move) {
+  const WgradGene kept = cur[gi];
+  cur[gi] = move;
+  const TimeNs t = ctx.Evaluate(cur);
+  if (t < cur_time) {
+    cur_time = t;
+    return true;
+  }
+  cur[gi] = kept;
+  return false;
+}
+
 // One coordinate-descent pass framework: sweeps over genes until a full
 // sweep yields no strict improvement or the budget runs out. `moves`
 // produces the candidate genes to try for one position.
@@ -163,14 +181,7 @@ void SweepToFixpoint(SearchContext& ctx, Genotype& cur, TimeNs& cur_time,
       for (const WgradGene& move : moves(cur[gi])) {
         if (ctx.evals_left <= 0) return;
         if (move == cur[gi]) continue;
-        Genotype cand = cur;
-        cand[gi] = move;
-        const TimeNs t = ctx.Evaluate(cand);
-        if (t < cur_time) {
-          cur = std::move(cand);
-          cur_time = t;
-          improved = true;
-        }
+        if (TryMove(ctx, cur, cur_time, gi, move)) improved = true;
       }
     }
   }
@@ -207,15 +218,9 @@ void RandomTrajectory(SearchContext& ctx, Rng& rng, Genotype& cur,
   for (int attempts = 4 * ctx.evals_left;
        attempts > 0 && ctx.evals_left > 0; --attempts) {
     const size_t gi = rng.NextBelow(cur.size());
-    WgradGene move = random_gene(cur[gi].layer);
+    const WgradGene move = random_gene(cur[gi].layer);
     if (move == cur[gi]) continue;
-    Genotype cand = cur;
-    cand[gi] = move;
-    const TimeNs t = ctx.Evaluate(cand);
-    if (t < cur_time) {
-      cur = std::move(cand);
-      cur_time = t;
-    }
+    TryMove(ctx, cur, cur_time, gi, move);
   }
 }
 
@@ -347,6 +352,10 @@ SearchResult AssembleResult(const TrainGraph& graph, ScheduleEvaluator& eval,
 
 }  // namespace
 
+int DefaultSearchThreads() {
+  return std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+}
+
 int MinSlot(const TrainGraph& graph, int layer) {
   const int L = graph.num_layers();
   OOBP_CHECK_GE(layer, 0);
@@ -422,8 +431,13 @@ SearchResult SearchSchedule(const TrainGraph& graph, const GpuSpec& gpu,
   // The portfolio: every trajectory owns its evaluators, cache, and Rng, so
   // the pool may run them in any order on any worker; the index-ordered
   // merge below makes the result byte-identical at every thread count.
+  // Validators and counters attach through thread-local hooks
+  // (src/hw/validation_hooks.h) and see only the devices built on their own
+  // thread, so an observed search runs its trajectories inline.
   std::vector<TrajectoryOutcome> outcomes(options.beam);
-  WorkerPool pool(std::min(options.threads, options.beam));
+  WorkerPool pool(ActiveHwValidationHooks() != nullptr
+                      ? 1
+                      : std::min(options.threads, options.beam));
   pool.Run(static_cast<size_t>(options.beam), [&](size_t j, int) {
     outcomes[j] = RunTrajectory(graph, gpu, profile, options,
                                 static_cast<int>(j), conventional_genotype,

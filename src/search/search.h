@@ -48,10 +48,14 @@
 // score the trajectory carried — and a deterministic 1-in-audit_interval
 // sample of analytic scores, whose relative error feeds SearchStats.
 //
-// Parallelism. The `threads` option runs the independent trajectories on a
-// WorkerPool (src/sim/worker_pool.h). Each trajectory owns its evaluators,
+// Parallelism. The independent trajectories run on a WorkerPool
+// (src/sim/worker_pool.h) with one worker per hardware thread by default
+// (`threads`, capped at `beam`). Each trajectory owns its evaluators,
 // cache, and Rng; outcomes are merged in trajectory index order after the
-// pool quiesces, so results are byte-identical at any thread count.
+// pool quiesces, so results are byte-identical at any thread count. Each
+// trajectory's CandidateCache stores packed keys (about 0.3 KB per
+// densenet121 entry), so trajectories running side by side stay cheap in
+// memory.
 //
 // Verification. Every returned schedule is checked against
 // TrainGraph::ValidateBackpropOrder here, and callers (scenarios, CLI,
@@ -72,6 +76,10 @@
 
 namespace oobp {
 
+// std::thread::hardware_concurrency(), at least 1: the default worker count
+// of the trajectory portfolio.
+int DefaultSearchThreads();
+
 struct SearchOptions {
   int beam = 4;         // independent trajectories (>= 1)
   uint64_t seed = 1;    // base seed for trajectories >= 1
@@ -89,7 +97,7 @@ struct SearchOptions {
   bool free_cache_hits = false;
   // Worker threads for the trajectory portfolio (>= 1; capped at `beam`).
   // Results are byte-identical for every value.
-  int threads = 1;
+  int threads = DefaultSearchThreads();
   // Every audit_interval-th analytic evaluation (per trajectory) is
   // re-scored by the simulator into SearchStats::audit_max_rel_err; <= 0
   // disables auditing. The audit is a safety net, not a correction — Tier A

@@ -239,5 +239,98 @@ TEST(CandidateCacheTest, PrecomputedHashOverloadsMatchDefault) {
   EXPECT_EQ(cache.misses(), 1u);
 }
 
+TEST(CandidateCacheTest, ForcedHashCollisionKeepsEveryEntry) {
+  // Different genotypes under one hash must each find their own score:
+  // the hash only indexes, the full packed key decides.
+  CandidateCache cache;
+  const Genotype a = {{2, 1, kSubStream}, {0, 3, kMainStream}};
+  const Genotype b = {{2, 1, kMainStream}, {0, 3, kMainStream}};
+  const Genotype c = {{2, 0, kMainStream}, {0, 3, kMainStream}};
+  constexpr uint64_t kForced = 42;
+  cache.Insert(a, {Ms(1), 10}, kForced);
+  cache.Insert(b, {Ms(2), 20}, kForced);
+  const CandidateCache::Score* hit_a = cache.Lookup(a, kForced);
+  const CandidateCache::Score* hit_b = cache.Lookup(b, kForced);
+  ASSERT_NE(hit_a, nullptr);
+  ASSERT_NE(hit_b, nullptr);
+  EXPECT_EQ(hit_a->time, Ms(1));
+  EXPECT_EQ(hit_a->peak, 10);
+  EXPECT_EQ(hit_b->time, Ms(2));
+  EXPECT_EQ(hit_b->peak, 20);
+  EXPECT_EQ(cache.Lookup(c, kForced), nullptr);
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_DEATH(cache.Insert(b, {Ms(3), 30}, kForced), "cached twice");
+}
+
+TEST(CandidateCacheTest, OtherLayerLayoutMissesAndFailsClosedOnInsert) {
+  // The first genotype fixes the layer sequence; a genotype with other
+  // layers or another length can never match a stored key.
+  CandidateCache cache;
+  const Genotype a = {{2, 1, kSubStream}, {0, 3, kMainStream}};
+  cache.Insert(a, {Ms(5), 1});
+  const Genotype other_layers = {{1, 1, kSubStream}, {0, 3, kMainStream}};
+  const Genotype longer = {{2, 1, kSubStream}, {1, 3, kMainStream},
+                           {0, 3, kMainStream}};
+  const Genotype shorter = {{2, 1, kSubStream}};
+  for (const Genotype& g : {other_layers, longer, shorter}) {
+    EXPECT_EQ(cache.Lookup(g), nullptr);
+    EXPECT_DEATH(cache.Insert(g, {Ms(6), 2}), "layer sequence");
+  }
+  EXPECT_EQ(cache.misses(), 3u);
+  EXPECT_EQ(cache.size(), 1u);
+  ASSERT_NE(cache.Lookup(a), nullptr);
+}
+
+TEST(CandidateCacheTest, GeneOutsideTheKeyWordFailsClosed) {
+  CandidateCache cache;
+  const Genotype big_slot = {{0, 1 << 15, kMainStream}};
+  const Genotype negative_slot = {{0, -1, kMainStream}};
+  const Genotype bad_stream = {{0, 3, 2}};
+  const Genotype negative_stream = {{0, 3, -1}};
+  EXPECT_DEATH(CandidateCache::Hash(big_slot), "slot");
+  EXPECT_DEATH(cache.Lookup(big_slot, 0), "slot");
+  EXPECT_DEATH(cache.Insert(negative_slot, {Ms(1), 1}, 0), "slot");
+  EXPECT_DEATH(CandidateCache::Hash(bad_stream), "stream");
+  EXPECT_DEATH(cache.Lookup(bad_stream, 0), "stream");
+  EXPECT_DEATH(cache.Insert(negative_stream, {Ms(1), 1}, 0), "stream");
+  // The largest packable slot is fine.
+  const Genotype max_slot = {{0, (1 << 15) - 1, kSubStream}};
+  cache.Insert(max_slot, {Ms(1), 1});
+  ASSERT_NE(cache.Lookup(max_slot), nullptr);
+}
+
+TEST(CandidateCacheTest, EntriesAcrossBlockBoundariesStayHits) {
+  // 100 genes pack into 200-byte keys, so a 64 KiB block holds 327 of
+  // them and 2000 entries span seven blocks.
+  constexpr int kGenes = 100;
+  constexpr int kEntries = 2000;
+  auto genotype = [](int i) {
+    Genotype g;
+    for (int layer = kGenes - 1; layer >= 0; --layer) {
+      g.push_back({layer, (i >> (layer % 11)) & 7, (i + layer) % 2});
+    }
+    g[0].slot = i;  // every genotype distinct
+    return g;
+  };
+  CandidateCache cache;
+  const Genotype first = genotype(0);
+  cache.Insert(first, {Ms(1), 0});
+  const CandidateCache::Score* first_hit = cache.Lookup(first);
+  ASSERT_NE(first_hit, nullptr);
+  for (int i = 1; i < kEntries; ++i) {
+    cache.Insert(genotype(i), {Ms(1) + i, i});
+  }
+  EXPECT_EQ(cache.size(), static_cast<size_t>(kEntries));
+  // Blocks are never reallocated: a score pointer outlives later inserts.
+  EXPECT_EQ(first_hit, cache.Lookup(first));
+  for (int i = 0; i < kEntries; ++i) {
+    const CandidateCache::Score* hit = cache.Lookup(genotype(i));
+    ASSERT_NE(hit, nullptr) << i;
+    EXPECT_EQ(hit->time, Ms(1) + i);
+    EXPECT_EQ(hit->peak, i);
+  }
+  EXPECT_EQ(cache.Lookup(genotype(kEntries)), nullptr);
+}
+
 }  // namespace
 }  // namespace oobp

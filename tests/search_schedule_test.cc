@@ -31,6 +31,7 @@
 #include "src/search/search.h"
 #include "src/store/snapshot.h"
 #include "src/validate/schedule_checker.h"
+#include "src/validate/sim_validator.h"
 
 namespace oobp {
 namespace {
@@ -318,6 +319,35 @@ TEST(SearchScheduleTest, SimulatorScoresOnlyBaselineAuditsAndFinals) {
     }
   }
   EXPECT_GT(audits, 0);  // the audit term above is exercised
+}
+
+// Validators attach through thread-local hooks, so a search observed by
+// one keeps every trajectory on the observing thread: the validator sees
+// the same devices at any `threads`, one GPU per simulator score at least.
+TEST(SearchScheduleTest, ObservedSearchShowsEveryDeviceToTheValidator) {
+  Rng rng(3);
+  const NnModel model = RandomModel(rng);
+  const TrainGraph graph(&model);
+  SearchOptions options;
+  options.beam = 4;
+  options.budget = 30;
+  options.audit_interval = 3;
+  std::vector<int64_t> gpus;
+  for (const int threads : {1, 4}) {
+    options.threads = threads;
+    SimValidator validator;
+    SearchStats stats;
+    {
+      ValidationScope scope(&validator);
+      stats = SearchSchedule(graph, GpuSpec::V100(),
+                             SystemProfile::TensorFlowXla(), options)
+                  .stats;
+    }
+    EXPECT_TRUE(validator.ok()) << validator.Summary();
+    EXPECT_GE(validator.gpus_observed(), stats.sim_evals);
+    gpus.push_back(validator.gpus_observed());
+  }
+  EXPECT_EQ(gpus[0], gpus[1]);
 }
 
 // Pinned on a zoo model: charging repeated visits leaves fewer analytic

@@ -1,7 +1,8 @@
 // Byte-identity battery for the parallel search-trajectory portfolio
 // (ctest labels: search, golden, integration): the serialized
 // result JSON of the two-tier search scenarios must be byte-identical at
-// --param threads 1, 4, and 8, and must still satisfy the pinned golden
+// --param threads 1, 4 and 8 and with the parameter unset (one worker per
+// hardware thread), and must still satisfy the pinned golden
 // files when parallel. Trajectories are pure functions of their index with
 // private evaluators, caches, and Rngs, merged in index order — so the
 // worker count is a pure wall-clock optimization, never a result change
@@ -50,12 +51,14 @@ std::map<std::string, std::string> RunBattery(const std::string& threads,
 TEST(SearchThreadsIdentity, ParallelRunsAreByteIdenticalToReference) {
   const auto reference = RunBattery("1", "");
   ASSERT_EQ(reference.size(), kBatterySize);
-  for (const char* threads : {"4", "8"}) {
+  // "" leaves the parameter unset: the default, one worker per hardware
+  // thread.
+  for (const char* threads : {"", "4", "8"}) {
     const auto parallel = RunBattery(threads, "");
     for (const auto& [name, json] : reference) {
       ASSERT_TRUE(parallel.count(name)) << name;
       EXPECT_EQ(parallel.at(name), json)
-          << name << " diverged at --param threads=" << threads;
+          << name << " diverged at --param threads='" << threads << "'";
     }
   }
 }

@@ -29,9 +29,10 @@
 #   7. Threaded code under ThreadSanitizer (-DOOBP_SANITIZE_THREAD=ON):
 #      the worker-pool and event-counter units (sim_test, event_heap_test),
 #      search_threads_identity_test (the search portfolio on the worker
-#      pool at threads 1/4/8), a `fuzz --jobs 0` smoke over the fleet
-#      family, and an `oobp search --free-cache-hits --threads=8` run of
-#      the parallel trajectory portfolio, all on the TSan build.
+#      pool at threads 1/4/8 and the default), a `fuzz --jobs 0` smoke
+#      over the fleet family, and an `oobp search --free-cache-hits
+#      --threads=8` run of the parallel trajectory portfolio, all on the
+#      TSan build.
 #   8. Snapshot store: `oobp snapshot build` + `verify` on the Release
 #      build, then the fig07 + fleet goldens replayed from the snapshot
 #      (results must stay byte-identical to the snapshot-less tiers above),
@@ -42,13 +43,15 @@
 #      search-labeled ctest tier (the 200-seed searched-schedule property
 #      battery, the search_gap_* golden/byte-identity tests, the
 #      analytic-evaluator bit-exactness battery, and the parallel-trajectory
-#      byte-identity test at threads 1/4/8), the search_gap_* scenarios
-#      replayed against their goldens with and without the snapshot from
-#      tier 8 (the optimality-gap metrics must be byte-identical either
-#      way), search_deep_fig07, search_eval_fidelity and search_eval_perf
-#      against their goldens, a perf smoke of the analytic evaluator gated
-#      by the perf baseline's analytic-evals count and evals/sec floor, and
-#      200 ASan seeds of the search fuzz family (differential
+#      byte-identity test at threads 1/4/8 and the default), the
+#      search_gap_* scenarios replayed against their goldens with and
+#      without the snapshot from tier 8 (the optimality-gap metrics must be
+#      byte-identical either way), search_deep_fig07,
+#      search_eval_fidelity and search_eval_perf against their goldens, a
+#      perf smoke of the analytic evaluator gated
+#      by the perf baseline's analytic-evals count and evals/sec floor, an
+#      `oobp search` at the default worker count cmp'd against --threads=1,
+#      and 200 ASan seeds of the search fuzz family (differential
 #      searched-vs-heuristic under the SimValidator; per budget unit:
 #      beam-monotonicity metamorphic, simulator re-score of best_time,
 #      threads=3 bit-identity and zero audit error; every second seed runs
@@ -174,6 +177,15 @@ ctest --test-dir "${BUILD_DIR}" -L search --output-on-failure
     --filter search_eval_perf \
     --check="${REPO_ROOT}/bench/perf_baseline.json" \
     --out "${BUILD_DIR}"
+
+# The portfolio's default worker count (one per hardware thread) must print
+# exactly what one thread prints.
+"${BUILD_DIR}/tools/oobp" search --model=densenet121 --free-cache-hits \
+    --beam=4 --budget=400 > "${BUILD_DIR}/search_threads_default.txt"
+"${BUILD_DIR}/tools/oobp" search --model=densenet121 --free-cache-hits \
+    --beam=4 --budget=400 --threads=1 > "${BUILD_DIR}/search_threads_1.txt"
+cmp "${BUILD_DIR}/search_threads_default.txt" \
+    "${BUILD_DIR}/search_threads_1.txt"
 
 "${ASAN_DIR}/tools/oobp" fuzz --seeds 200 --base-seed 1 --jobs 0 \
     --checks=search

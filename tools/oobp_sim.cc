@@ -22,9 +22,10 @@
 //                     machine-verifies every schedule with
 //                     CheckIterationSchedule. --free-cache-hits charges the
 //                     budget only for analytic evaluations, not repeated
-//                     visits, and defaults it to 4000; --threads runs the
-//                     trajectory portfolio on a worker pool, byte-identical
-//                     for any N; unknown flags are a usage error)
+//                     visits, and defaults it to 4000; --threads sets the
+//                     trajectory portfolio's worker pool, one worker per
+//                     hardware thread by default, byte-identical for any N;
+//                     unknown flags are a usage error)
 //   oobp_sim bench    [--list] [--filter=<glob>] [--jobs=N] [--out=<dir>]
 //                     [--golden[=<dir>]] [--perf] [--check[=<baseline>]]
 //                     [--param k=v]  (see src/runner; --check gates perf
@@ -413,9 +414,9 @@ int RunSearch(const Flags& flags) {
   options.free_cache_hits = flags.GetInt("free-cache-hits", 0) != 0;
   options.budget =
       flags.GetInt("budget", options.free_cache_hits ? 4000 : 400);
-  // --threads parallelizes the trajectory portfolio; results are
-  // byte-identical for any value.
-  options.threads = std::max(1, flags.GetInt("threads", 1));
+  // --threads sets the trajectory portfolio's workers (default: every
+  // hardware thread); results are byte-identical for any value.
+  options.threads = std::max(1, flags.GetInt("threads", options.threads));
   options.audit_interval = flags.GetInt("audit-interval", 256);
 
   ScheduleEvaluator eval(&model, gpu, profile);
