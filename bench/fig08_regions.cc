@@ -44,13 +44,11 @@ int main() {
       for (const auto& [block, count] : region_sources[r]) {
         placed += StrFormat("%s:%d ", block.c_str(), count);
       }
-      if (placed.empty()) {
-        placed = "-";
-      }
       table.Row({region.name,
                  region.kind == Region::Kind::kBackward ? "bwd" : "fwd",
                  StrFormat("%zu", region.main_ops.size()),
-                 StrFormat("%.2f", ToMs(profiler.MainDuration(r))), placed});
+                 StrFormat("%.2f", ToMs(profiler.MainDuration(r))),
+                 placed.empty() ? std::string("-") : placed});
     }
     std::printf("pre-scheduled regions: %d, dW in forward regions: %d, "
                 "activation peak %.0f MB (conv %.0f MB)\n",

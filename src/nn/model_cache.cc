@@ -47,12 +47,10 @@ ModelCacheHooks CopyHooks() {
   return Hooks();
 }
 
-}  // namespace
-
+// Every field of both structs: a missed field would alias two distinct
+// configurations onto one cached cost model.
 std::string CostModelCacheKey(const GpuSpec& gpu,
                               const SystemProfile& profile) {
-  // Every field of both structs: a missed field would alias two distinct
-  // configurations onto one cached cost model.
   return StrFormat(
       "%s|%d|%d|%.17g|%.17g|%lld|%lld||%s|%.17g|%.17g|%lld|%d|%lld|%d|%.17g",
       gpu.name.c_str(), gpu.num_sms, gpu.blocks_per_sm, gpu.fp32_tflops,
@@ -64,6 +62,8 @@ std::string CostModelCacheKey(const GpuSpec& gpu,
       static_cast<long long>(profile.graph_launch_latency),
       profile.issue_queue_depth, profile.allocator_overhead);
 }
+
+}  // namespace
 
 void SetModelCacheHooks(ModelCacheHooks hooks) {
   std::lock_guard<std::mutex> lock(HooksMutex());
@@ -85,7 +85,7 @@ std::shared_ptr<const NnModel> CachedModel(
     }
   }
   const ModelCacheHooks hooks = CopyHooks();
-  // Snapshot (or other external store) lookup before paying for the build.
+  // A find hook may supply the model before paying for the build.
   std::shared_ptr<const NnModel> built;
   if (hooks.find_model) {
     built = hooks.find_model(key);
@@ -119,9 +119,7 @@ std::shared_ptr<const CostModel> CachedCostModel(const GpuSpec& gpu,
     }
   }
   // No find hook here: the caller already holds (gpu, profile) and the
-  // constructor is two member copies — there is nothing a store could save.
-  // Recording still matters: it is how `snapshot build` learns which
-  // hardware points the scenario sweep actually exercises.
+  // constructor is two member copies, so only the build is observed.
   auto built = std::make_shared<const CostModel>(gpu, profile);
   const ModelCacheHooks hooks = CopyHooks();
   if (hooks.record_cost_model) {

@@ -12,13 +12,10 @@
 // keeps its reference alive independently of the cache, so the bounded
 // clear-on-overflow eviction can never invalidate an object in use.
 //
-// Snapshot integration: src/store cannot be linked from here (it sits above
-// core in the library layering), so it plugs in through ModelCacheHooks —
-// `find_model` is consulted on a cache miss before the builder runs
-// (snapshot hit → the materialized model enters the cache and the builder
-// never executes), and the `record_*` hooks observe every build so `oobp
-// snapshot build` can collect the zoo. With no hooks installed the cache
-// behaves exactly as before.
+// Build hooks: ModelCacheHooks lets an observer (the benchmark's build
+// tracer) see every cache miss — `find_model` is consulted before the
+// builder runs and may supply the model, and the `record_*` hooks observe
+// every build. With no hooks installed the cache only builds and stores.
 
 #ifndef OOBP_SRC_NN_MODEL_CACHE_H_
 #define OOBP_SRC_NN_MODEL_CACHE_H_
@@ -49,13 +46,7 @@ size_t ModelCacheSize();
 size_t CostModelCacheSize();
 void ClearModelCaches();
 
-// The cache key for a (gpu, profile) cost-model point: every field of both
-// structs serialized, so distinct configurations never collide. Exposed so
-// the snapshot store can address cost-model records by the same identity.
-std::string CostModelCacheKey(const GpuSpec& gpu,
-                              const SystemProfile& profile);
-
-// External cache plug-in (see header comment). All members optional; an
+// Build hooks (see header comment). All members optional; an
 // unset member is simply skipped. Hooks are invoked with no cache lock
 // held, so they may themselves call back into the cache.
 struct ModelCacheHooks {
@@ -66,8 +57,8 @@ struct ModelCacheHooks {
   // Observes every model the builder produced (cache misses only).
   std::function<void(const std::string& key, const NnModel& model)>
       record_model;
-  // Observes every cost-model point built (cache misses only); `key` is
-  // CostModelCacheKey(gpu, profile).
+  // Observes every cost-model point built (cache misses only); `key`
+  // serializes every field of (gpu, profile).
   std::function<void(const std::string& key, const GpuSpec& gpu,
                      const SystemProfile& profile)>
       record_cost_model;

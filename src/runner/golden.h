@@ -53,10 +53,7 @@ std::string GoldenPathFor(const std::string& dir, const std::string& scenario);
 std::optional<GoldenSpec> LoadGoldenFile(const std::string& path,
                                          std::string* error = nullptr);
 
-// Snapshot-aware load: when a snapshot is active and holds this scenario's
-// golden, the spec is materialized from the mapping (values are the raw
-// double bits of the original JSON parse, so comparisons are bit-identical);
-// otherwise `<dir>/<scenario>.json` is parsed as before.
+// Loads `<dir>/<scenario>.json` (LoadGoldenFile on GoldenPathFor).
 std::optional<GoldenSpec> LoadGoldenSpec(const std::string& dir,
                                          const std::string& scenario,
                                          std::string* error = nullptr);

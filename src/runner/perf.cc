@@ -13,7 +13,6 @@
 #include "src/runner/registry.h"
 #include "src/search/fast_eval.h"
 #include "src/sim/engine.h"
-#include "src/store/snapshot.h"
 
 // Baked in by the root CMakeLists so the gate knows whether wall-clock
 // bands are meaningful (Release) or noise (sanitizer / debug builds).
@@ -292,24 +291,14 @@ int RunPerf(const PerfOptions& opts) {
   }
 
   if (opts.check) {
-    // Baseline source: an active snapshot carries the exact bytes of
-    // bench/perf_baseline.json from build time, so the gate runs without
-    // touching the repo checkout; otherwise read the file as before.
-    std::string baseline_source = opts.baseline_path;
-    std::ostringstream baseline;
-    if (const std::shared_ptr<const SnapshotReader> reader = ActiveSnapshot();
-        reader != nullptr && !reader->perf_baseline().empty()) {
-      baseline << reader->perf_baseline();
-      baseline_source = "snapshot";
-    } else {
-      std::ifstream in(opts.baseline_path, std::ios::binary);
-      if (!in) {
-        std::fprintf(stderr, "perf: cannot read baseline %s\n",
-                     opts.baseline_path.c_str());
-        return 1;
-      }
-      baseline << in.rdbuf();
+    std::ifstream in(opts.baseline_path, std::ios::binary);
+    if (!in) {
+      std::fprintf(stderr, "perf: cannot read baseline %s\n",
+                   opts.baseline_path.c_str());
+      return 1;
     }
+    std::ostringstream baseline;
+    baseline << in.rdbuf();
     std::vector<PerfSample> samples;
     for (const PerfRow& r : rows) {
       if (r.ok) {
@@ -329,7 +318,7 @@ int RunPerf(const PerfOptions& opts) {
     std::printf("perf-check: %zu failure(s), %zu notice(s) vs %s "
                 "(wall bands %s)\n",
                 report.failures.size(), report.notices.size(),
-                baseline_source.c_str(), wall_bands ? "on" : "off");
+                opts.baseline_path.c_str(), wall_bands ? "on" : "off");
     if (!report.ok()) {
       return 1;
     }

@@ -1,9 +1,9 @@
 // Wall-clock performance harness for the simulator core.
 //
-// `oobp bench --perf` (also tools/perf.sh) runs the selected scenarios with
-// warm-up iterations followed by timed repeats, all serially on one thread so
-// the numbers are not polluted by co-scheduling, and emits
-// `BENCH_sim_perf.json`:
+// `oobp bench --perf --out DIR` runs the selected scenarios with warm-up
+// iterations followed by timed repeats, all serially on one thread so the
+// numbers are not polluted by co-scheduling, and emits
+// `DIR/BENCH_sim_perf.json`:
 //
 //   {
 //     "warmup": 1,
@@ -21,10 +21,10 @@
 //
 // Event counts come from SimEngine::TotalProcessedEvents() deltas; they are
 // deterministic per scenario, so events/sec is comparable across machines of
-// the same class and across commits — this file seeds the repo's perf
-// trajectory (see DESIGN.md §6/§9). Wall-clock fields are intentionally NOT
-// golden-gated: only the simulation *results* (BENCH_<scenario>.json) must be
-// byte-identical across commits.
+// the same class and across commits (see DESIGN.md §6/§9). The file is a
+// measurement of the host it ran on and is not committed. Wall-clock fields
+// are intentionally NOT golden-gated: only the simulation *results*
+// (BENCH_<scenario>.json) must be byte-identical across commits.
 //
 // `--check` adds the perf regression gate: measured per-scenario event
 // counts are compared against the committed bench/perf_baseline.json. Event

@@ -17,9 +17,7 @@
 #include "src/runner/perf.h"
 #include "src/runner/search_scenarios.h"
 #include "src/runner/serve_scenarios.h"
-#include "src/runner/snapshot_build.h"
 #include "src/runner/sweep_scenarios.h"
-#include "src/store/snapshot.h"
 
 namespace oobp {
 
@@ -250,34 +248,7 @@ int BenchUsage() {
                "                 committed baseline (default "
                "bench/perf_baseline.json);\n"
                "                 inflation fails, wall-clock bands are\n"
-               "                 informational (Release builds only)\n"
-               "  --snapshot[=PATH] activate a prebuilt snapshot (default\n"
-               "                 bench/oobp.snapshot; also via the\n"
-               "                 OOBP_SNAPSHOT env var): models, schedules,\n"
-               "                 goldens, and the perf baseline load from the\n"
-               "                 mapping instead of being rebuilt — results\n"
-               "                 are byte-identical; a stale snapshot falls\n"
-               "                 back silently, a corrupt one is an error\n");
-  return 2;
-}
-
-// Shared --snapshot / OOBP_SNAPSHOT activation policy: corruption is a hard
-// error (the user named a file and it is broken — hiding that would mask
-// bit rot), staleness falls back to in-process builds with a notice (the
-// registry simply moved on; results stay correct either way).
-int ActivateSnapshotOrExplain(const std::string& path) {
-  std::string error;
-  switch (ActivateSnapshot(path, ComputeScenarioRegistryHash(),
-                           /*check_registry=*/true, &error)) {
-    case SnapshotActivation::kActive:
-      return 0;
-    case SnapshotActivation::kStale:
-      std::fprintf(stderr, "note: %s\n", error.c_str());
-      return 0;
-    case SnapshotActivation::kError:
-      std::fprintf(stderr, "snapshot: %s\n", error.c_str());
-      return 2;
-  }
+               "                 informational (Release builds only)\n");
   return 2;
 }
 
@@ -296,7 +267,6 @@ int BenchMain(int argc, char** argv) {
   bool list = false;
   bool perf = false;
   bool filter_given = false;
-  std::string snapshot_path;
   PerfOptions perf_opts;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -344,9 +314,6 @@ int BenchMain(int argc, char** argv) {
     } else if (arg == "golden") {
       const std::string dir = next_value();
       opts.golden_dir = dir.empty() ? "bench/golden" : dir;
-    } else if (arg == "snapshot") {
-      const std::string p = next_value();
-      snapshot_path = p.empty() ? kDefaultSnapshotPath : p;
     } else if (arg == "param") {
       const std::string kv = next_value();
       const size_t split = kv.find('=');
@@ -361,17 +328,6 @@ int BenchMain(int argc, char** argv) {
     } else {
       std::fprintf(stderr, "unknown flag --%s\n", arg.c_str());
       return BenchUsage();
-    }
-  }
-  if (snapshot_path.empty()) {
-    if (const char* env = std::getenv("OOBP_SNAPSHOT");
-        env != nullptr && env[0] != '\0') {
-      snapshot_path = env;
-    }
-  }
-  if (!snapshot_path.empty()) {
-    if (const int rc = ActivateSnapshotOrExplain(snapshot_path); rc != 0) {
-      return rc;
     }
   }
   if (list) {

@@ -15,7 +15,6 @@
 #include "src/runner/registry.h"
 #include "src/runtime/single_gpu_engine.h"
 #include "src/serve/serve_engine.h"
-#include "src/store/snapshot.h"
 
 namespace oobp {
 namespace {
@@ -36,7 +35,7 @@ struct ServeFamilySpec {
   std::vector<LoadPoint> loads;            // sweep, in increasing-rate order
   double slo_ms;
   // Training co-run; null make_train = serve-only. Returns a cache-shared
-  // model so the zoo entry (and snapshot record) is built once per process.
+  // model so the zoo entry is built once per process.
   std::function<std::shared_ptr<const NnModel>()> make_train;
   bool ooo = false;  // joint (ooo) schedule vs conventional in-order
   // Longer default horizon for co-run families: requests are sparser there
@@ -71,7 +70,7 @@ ScenarioResult RunServeFamily(const ScenarioParams& params,
   if (spec.make_train) {
     train_model = spec.make_train();
     const TrainGraph graph(train_model.get());
-    train_schedule = spec.ooo ? SnapshotOooSchedule(graph, gpu, xla).schedule
+    train_schedule = spec.ooo ? MakeOooSchedule(graph, gpu, xla).schedule
                               : ConventionalIteration(graph);
     const TrainMetrics solo =
         SingleGpuEngine({gpu, xla, /*precompiled_issue=*/true})

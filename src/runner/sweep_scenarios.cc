@@ -21,7 +21,6 @@
 #include "src/runtime/data_parallel_engine.h"
 #include "src/runtime/pipeline_engine.h"
 #include "src/runtime/single_gpu_engine.h"
-#include "src/store/snapshot.h"
 
 namespace oobp {
 namespace {
@@ -319,7 +318,7 @@ ScenarioResult SteadySingleGpu(const ScenarioParams& params,
   result.Set("conv.replayed", conv_stats.replayed ? 1 : 0);
   result.Set("conv.simulated_iterations", conv_stats.simulated_iterations);
 
-  const JointScheduleResult sched = SnapshotOooSchedule(graph, gpu, xla);
+  const JointScheduleResult sched = MakeOooSchedule(graph, gpu, xla);
   ReplayStats ooo_stats;
   const TrainMetrics ooo = SingleGpuEngine(config).Run(
       *model, sched.schedule, nullptr, &ooo_stats);

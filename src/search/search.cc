@@ -13,7 +13,6 @@
 #include "src/search/candidate_cache.h"
 #include "src/search/fast_eval.h"
 #include "src/sim/worker_pool.h"
-#include "src/store/snapshot.h"
 
 namespace oobp {
 namespace {
@@ -416,15 +415,14 @@ SearchResult SearchSchedule(const TrainGraph& graph, const GpuSpec& gpu,
                                            eval.PeakMemory(conventional));
   const Genotype conventional_genotype = ConventionalGenotype(graph);
 
-  // Trajectory inputs that must come from the coordinator: the snapshot
-  // store round-trip in SnapshotOooSchedule is not a worker-thread citizen,
-  // and hoisting it keeps every trajectory a pure function of its index.
-  // Seeded trajectories start from the heuristic's own point — the search
-  // refines MakeOooSchedule rather than rediscovering it.
+  // Computed once on the coordinator so every trajectory stays a pure
+  // function of its index. Seeded trajectories start from the heuristic's
+  // own point — the search refines MakeOooSchedule rather than
+  // rediscovering it.
   Genotype ooo_genotype;
   if (options.beam > 1) {
     const JointScheduleResult ooo =
-        SnapshotOooSchedule(graph, gpu, profile, options.memory_cap_factor);
+        MakeOooSchedule(graph, gpu, profile, options.memory_cap_factor);
     ooo_genotype = DeriveGenotype(graph, ooo.schedule);
   }
 
@@ -469,31 +467,6 @@ SearchResult SearchSchedule(const TrainGraph& graph, const GpuSpec& gpu,
   }
   return AssembleResult(graph, eval, std::move(best), best_time,
                         conventional_time, stats);
-}
-
-JointScheduleResult SnapshotSearchSchedule(const TrainGraph& graph,
-                                           const GpuSpec& gpu,
-                                           const SystemProfile& profile,
-                                           const SearchOptions& options) {
-  // The analytic evaluator's version and the budget unit are part of the
-  // content key: bumping FastScheduleEvaluator::kVersion silently
-  // invalidates schedules searched under the old recurrence instead of
-  // replaying them.
-  const uint64_t key = SearchKeyHash(
-      graph.model(), gpu, profile, options.beam, options.seed, options.budget,
-      options.memory_cap_factor, FastScheduleEvaluator::kVersion,
-      options.free_cache_hits);
-  if (std::shared_ptr<const SnapshotReader> reader = ActiveSnapshot()) {
-    if (std::optional<JointScheduleResult> hit = reader->FindSchedule(key)) {
-      return *std::move(hit);
-    }
-  }
-  SearchResult searched = SearchSchedule(graph, gpu, profile, options);
-  JointScheduleResult result;
-  result.schedule = std::move(searched.schedule);
-  result.peak_memory = searched.peak_memory;
-  RecordSnapshotSchedule(key, result, gpu, profile);
-  return result;
 }
 
 }  // namespace oobp

@@ -75,17 +75,6 @@ class SimEngine {
   // scenario runs; simulation results never depend on it.
   static uint64_t TotalProcessedEvents();
 
-  // Startup-latency probe for `oobp snapshot startup`: Arm starts a
-  // wall-clock timer; the first Run() entered anywhere in the process
-  // after arming records the elapsed milliseconds and disarms.
-  // That delta is "time to first simulated event" — everything spent on
-  // model construction and scheduling before any simulation begins. Cost
-  // when disarmed is one relaxed atomic load per Run() call (not per
-  // event). FirstRunCaptureMs returns the last capture, or a negative
-  // value if armed-but-never-triggered / never armed.
-  static void ArmFirstRunCapture();
-  static double FirstRunCaptureMs();
-
   // Schedules `cb` at absolute time `t`; `t` must not be in the past. The
   // returned handle may be ignored, or kept to Cancel() the event later.
   TimerHandle ScheduleAt(TimeNs t, Callback cb);

@@ -169,16 +169,22 @@ void FluidProcessor::Reallocate() {
   // Priority-ordered greedy allocation (lower priority value first, FIFO
   // within a level) — this is the GPU stream-priority semantics. jobs_ is
   // already in that order; find the next completion in the same pass.
+  // A drained job (zero work, e.g. a zero-duration kernel) completes at this
+  // instant whatever its rate; every other job needs at least 1 ns. So a
+  // wake-up at the current instant always completes a job and cannot loop.
   double free = capacity_;
   double min_tta = -1.0;
   for (Job& job : jobs_) {
     job.rate = std::min(job.max_rate, free);
     free -= job.rate;
-    if (job.rate > 0.0) {
-      const double tta = job.remaining / job.rate;
-      if (min_tta < 0.0 || tta < min_tta) {
-        min_tta = tta;
-      }
+    double tta = -1.0;
+    if (job.remaining <= kWorkEpsilon) {
+      tta = 0.0;
+    } else if (job.rate > 0.0) {
+      tta = job.remaining / job.rate;
+    }
+    if (tta >= 0.0 && (min_tta < 0.0 || tta < min_tta)) {
+      min_tta = tta;
     }
   }
   if (min_tta < 0.0) {
@@ -190,7 +196,9 @@ void FluidProcessor::Reallocate() {
   const TimeNs max_delay =
       std::numeric_limits<TimeNs>::max() - engine_->now();
   TimeNs delay;
-  if (min_tta >= static_cast<double>(max_delay)) {
+  if (min_tta == 0.0) {
+    delay = 0;
+  } else if (min_tta >= static_cast<double>(max_delay)) {
     delay = max_delay;
   } else {
     delay = std::max<TimeNs>(1, static_cast<TimeNs>(std::ceil(min_tta)));

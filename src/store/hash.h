@@ -1,20 +1,13 @@
-// 64-bit checksum used throughout the snapshot store (src/store/format.h):
-// an implementation of the XXH64 algorithm (Yann Collet's xxHash, the
-// public-domain spec). Chosen over a CRC because section payloads are
-// megabytes of flat records and XXH64 runs at memory speed while still
-// catching any single flipped byte; chosen over a cryptographic hash because
-// snapshots are a local cache, not a trust boundary.
-//
-// The streaming accumulator exists so content keys (model layer tables,
-// schedule identities) can be hashed field-by-field without first
-// serializing into a scratch buffer.
+// XXH64 (Yann Collet's xxHash, the public-domain spec), pinned to the
+// reference vectors in tests/hash_test.cc. It digests canonical result JSON
+// (perfbench/workloads.cc): fast, and any flipped byte changes the digest.
+// It is not a cryptographic hash.
 
 #ifndef OOBP_SRC_STORE_HASH_H_
 #define OOBP_SRC_STORE_HASH_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <string_view>
 
 namespace oobp {
@@ -25,34 +18,6 @@ uint64_t SnapshotHash64(const void* data, size_t len, uint64_t seed = 0);
 inline uint64_t SnapshotHash64(std::string_view s, uint64_t seed = 0) {
   return SnapshotHash64(s.data(), s.size(), seed);
 }
-
-// Order-sensitive streaming accumulator. Not bit-compatible with one-shot
-// XXH64 over the concatenation (it buffers into a string and hashes at
-// Digest()); it only promises determinism and full sensitivity to every
-// appended byte, which is all content keys need.
-class HashAccumulator {
- public:
-  explicit HashAccumulator(uint64_t seed = 0) : seed_(seed) {}
-
-  void Bytes(const void* data, size_t len) {
-    buffer_.append(static_cast<const char*>(data), len);
-  }
-  // Length-prefixed so {"ab","c"} and {"a","bc"} accumulate differently.
-  void Str(std::string_view s) {
-    U64(s.size());
-    buffer_.append(s.data(), s.size());
-  }
-  void U64(uint64_t v) { Bytes(&v, sizeof(v)); }
-  void I64(int64_t v) { Bytes(&v, sizeof(v)); }
-  void I32(int32_t v) { Bytes(&v, sizeof(v)); }
-  void F64(double v) { Bytes(&v, sizeof(v)); }  // raw bits, exact
-
-  uint64_t Digest() const { return SnapshotHash64(buffer_, seed_); }
-
- private:
-  uint64_t seed_;
-  std::string buffer_;
-};
 
 }  // namespace oobp
 

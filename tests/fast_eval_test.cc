@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "src/common/rng.h"
+#include "src/common/str_util.h"
 #include "src/core/schedule.h"
 #include "src/hw/gpu_spec.h"
 #include "src/nn/layer_builder.h"
@@ -37,8 +38,8 @@ NnModel RandomModel(Rng& rng) {
   model.batch = 8 << rng.NextBelow(3);
   const int L = 3 + static_cast<int>(rng.NextBelow(8));
   for (int i = 0; i < L; ++i) {
-    const std::string name = "l" + std::to_string(i);
-    const std::string block = "b" + std::to_string(i / 2);
+    const std::string name = StrFormat("l%d", i);
+    const std::string block = StrFormat("b%d", i / 2);
     const int c = 8 << rng.NextBelow(3);
     const int hw = 8 << rng.NextBelow(2);
     switch (rng.NextBelow(4)) {

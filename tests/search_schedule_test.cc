@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "src/common/rng.h"
+#include "src/common/str_util.h"
 #include "src/core/schedule.h"
 #include "src/hw/gpu_spec.h"
 #include "src/nn/layer_builder.h"
@@ -29,7 +30,6 @@
 #include "src/search/evaluator.h"
 #include "src/search/fast_eval.h"
 #include "src/search/search.h"
-#include "src/store/snapshot.h"
 #include "src/validate/schedule_checker.h"
 #include "src/validate/sim_validator.h"
 
@@ -44,8 +44,8 @@ NnModel RandomModel(Rng& rng) {
   model.batch = 8 << rng.NextBelow(3);
   const int L = 3 + static_cast<int>(rng.NextBelow(8));
   for (int i = 0; i < L; ++i) {
-    const std::string name = "l" + std::to_string(i);
-    const std::string block = "b" + std::to_string(i / 2);
+    const std::string name = StrFormat("l%d", i);
+    const std::string block = StrFormat("b%d", i / 2);
     const int c = 8 << rng.NextBelow(3);
     const int hw = 8 << rng.NextBelow(2);
     switch (rng.NextBelow(4)) {
@@ -243,52 +243,6 @@ TEST(SearchScheduleTest, ZeroBudgetReturnsConventional) {
   EXPECT_EQ(result.schedule.ToString(),
             ConventionalIteration(graph).ToString());
   EXPECT_EQ(result.best_time, result.conventional_time);
-}
-
-TEST(SearchScheduleTest, SnapshotFrontDoorMatchesDirectSearchWhenInactive) {
-  DeactivateSnapshot();
-  Rng rng(23);
-  const NnModel model = RandomModel(rng);
-  const TrainGraph graph(&model);
-  const SystemProfile profile = SystemProfile::TensorFlowXla();
-
-  SearchOptions options;
-  options.beam = 2;
-  options.budget = 15;
-  const SearchResult direct =
-      SearchSchedule(graph, GpuSpec::V100(), profile, options);
-  const JointScheduleResult via_snapshot =
-      SnapshotSearchSchedule(graph, GpuSpec::V100(), profile, options);
-  EXPECT_EQ(via_snapshot.schedule.ToString(), direct.schedule.ToString());
-  EXPECT_EQ(via_snapshot.peak_memory, direct.peak_memory);
-}
-
-TEST(SearchScheduleTest, SearchKeyHashSeparatesEveryKnob) {
-  Rng rng(31);
-  const NnModel model = RandomModel(rng);
-  const GpuSpec gpu = GpuSpec::V100();
-  const SystemProfile profile = SystemProfile::TensorFlowXla();
-  const int v = FastScheduleEvaluator::kVersion;
-  const auto key = [&](const GpuSpec& g, int beam, uint64_t seed, int budget,
-                       double cap, int version, bool free_hits) {
-    return SearchKeyHash(model, g, profile, beam, seed, budget, cap, version,
-                         free_hits);
-  };
-  const uint64_t base = key(gpu, 4, 1, 400, 1.1, v, false);
-  EXPECT_NE(base, key(gpu, 5, 1, 400, 1.1, v, false));
-  EXPECT_NE(base, key(gpu, 4, 2, 400, 1.1, v, false));
-  EXPECT_NE(base, key(gpu, 4, 1, 401, 1.1, v, false));
-  EXPECT_NE(base, key(gpu, 4, 1, 400, 1.2, v, false));
-  EXPECT_NE(base, key(GpuSpec::P100(), 4, 1, 400, 1.1, v, false));
-  // Both budget units, and an analytic-evaluator revision under either,
-  // key differently: old snapshots go stale instead of replaying.
-  const uint64_t free_hits = key(gpu, 4, 1, 400, 1.1, v, true);
-  EXPECT_NE(base, free_hits);
-  EXPECT_NE(base, key(gpu, 4, 1, 400, 1.1, v + 1, false));
-  EXPECT_NE(free_hits, key(gpu, 4, 1, 400, 1.1, v + 1, true));
-  // Searched keys must never collide with the heuristic's key space for the
-  // same scheduling problem (both live in the snapshot's schedules section).
-  EXPECT_NE(base, ScheduleKeyHash(model, gpu, profile, 1.1));
 }
 
 // Candidates are scored by the analytic evaluator under both budget units;

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# One-shot health check, nine tiers:
+# One-shot health check, eight tiers:
 #   1. Release build: unit-test tier + unit-time toy scenarios vs goldens.
 #   2. ASan+UBSan build (-DOOBP_SANITIZE=ON): unit-test tier under the
 #      sanitizers (catches lifetime bugs in the event slab / callback moves).
@@ -33,22 +33,14 @@
 #      over the fleet family, and an `oobp search --free-cache-hits
 #      --threads=8` run of the parallel trajectory portfolio, all on the
 #      TSan build.
-#   8. Snapshot store: `oobp snapshot build` + `verify` on the Release
-#      build, then the fig07 + fleet goldens replayed from the snapshot
-#      (results must stay byte-identical to the snapshot-less tiers above),
-#      the store-labeled ctest tier (format roundtrip + every corruption
-#      path) on the ASan build, and `snapshot startup`, which emits the
-#      cold-vs-snapshot BENCH_startup.json timings (see DESIGN.md §12).
-#   9. Search baseline (candidates scored by the analytic Tier A):
+#   8. Search baseline (candidates scored by the analytic Tier A):
 #      search-labeled ctest tier (the 200-seed searched-schedule property
 #      battery, the search_gap_* golden/byte-identity tests, the
 #      analytic-evaluator bit-exactness battery, and the parallel-trajectory
 #      byte-identity test at threads 1/4/8 and the default), the
-#      search_gap_* scenarios replayed against their goldens with and
-#      without the snapshot from tier 8 (the optimality-gap metrics must be
-#      byte-identical either way), search_deep_fig07,
-#      search_eval_fidelity and search_eval_perf against their goldens, a
-#      perf smoke of the analytic evaluator gated
+#      search_gap_* scenarios replayed against their goldens,
+#      search_deep_fig07, search_eval_fidelity and search_eval_perf
+#      against their goldens, a perf smoke of the analytic evaluator gated
 #      by the perf baseline's analytic-evals count and evals/sec floor, an
 #      `oobp search` at the default worker count cmp'd against --threads=1,
 #      and 200 ASan seeds of the search fuzz family (differential
@@ -62,9 +54,7 @@
 #   tier 2, 6       -> ASan+UBSan build (memory-safety of slab/fluid/fuzz paths)
 #   tier 7          -> TSan build       (data races in the worker pool, the
 #                      search portfolio and the fuzz/bench --jobs pools)
-#   tier 8          -> Release (build/verify/replay/startup) + ASan (store
-#                      tests; mmap + validation ladder under the sanitizers)
-#   tier 9          -> Release (search goldens + gap-report replay) + ASan
+#   tier 8          -> Release (search goldens + gap-report replay) + ASan
 #                      (search fuzz smoke)
 #
 # Usage: tools/check.sh [build-dir [asan-build-dir [tsan-build-dir]]]
@@ -134,34 +124,10 @@ ctest --test-dir "${TSAN_DIR}" \
 "${TSAN_DIR}/tools/oobp" search --model=densenet121 --free-cache-hits \
     --beam=4 --budget=150 --seed=7 --threads=8
 
-# --- Tier 8: snapshot store: build/verify/replay/startup + ASan store tier
-SNAPSHOT="${BUILD_DIR}/oobp.snapshot"
-(cd "${REPO_ROOT}" && "${BUILD_DIR}/tools/oobp" snapshot build \
-    --out="${SNAPSHOT}")
-
-"${BUILD_DIR}/tools/oobp" snapshot verify --path="${SNAPSHOT}"
-
-"${BUILD_DIR}/tools/oobp" bench --filter 'fig07*' --jobs 0 \
-    --snapshot="${SNAPSHOT}" \
-    --out "${BUILD_DIR}" --golden "${REPO_ROOT}/bench/golden"
-
-"${BUILD_DIR}/tools/oobp" bench --filter 'fleet_*' --jobs 0 \
-    --snapshot="${SNAPSHOT}" \
-    --out "${BUILD_DIR}" --golden "${REPO_ROOT}/bench/golden"
-
-ctest --test-dir "${ASAN_DIR}" -L store --output-on-failure
-
-"${BUILD_DIR}/tools/oobp" snapshot startup --path="${SNAPSHOT}" \
-    --out="${BUILD_DIR}"
-
-# --- Tier 9: search baseline: goldens + gap-report replay + fuzz smoke ----
+# --- Tier 8: search baseline: goldens + gap-report replay + fuzz smoke ----
 ctest --test-dir "${BUILD_DIR}" -L search --output-on-failure
 
 "${BUILD_DIR}/tools/oobp" bench --filter 'search_gap_*' --jobs 0 \
-    --out "${BUILD_DIR}" --golden "${REPO_ROOT}/bench/golden"
-
-"${BUILD_DIR}/tools/oobp" bench --filter 'search_gap_*' --jobs 0 \
-    --snapshot="${SNAPSHOT}" \
     --out "${BUILD_DIR}" --golden "${REPO_ROOT}/bench/golden"
 
 # Deep-budget gap refresh (free cache hits), analytic-vs-simulator fidelity
