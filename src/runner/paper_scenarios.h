@@ -1,9 +1,11 @@
-// Registration of the paper's figure experiments as runner scenarios.
+// Registration of the paper's figure experiments and ablations as runner
+// scenarios (label "train").
 //
-// The former standalone bench binaries for Figures 4, 5, 6, 7 and 10 are
-// thin wrappers over these registrations; `oobp bench` runs any subset of
-// them. Heavyweight figures are split into several scenarios (Figure 7 per
-// model, Figure 10 per cluster) so the thread pool can spread them.
+// Every figure of the evaluation except Figure 13 (see sweep_scenarios.h)
+// and every ablation registers here; `oobp bench` runs any subset of them
+// and gates each against its bench/golden file. Heavyweight figures are
+// split into several scenarios (Figure 7 per model, Figure 10 per cluster)
+// so the thread pool can spread them.
 
 #ifndef OOBP_SRC_RUNNER_PAPER_SCENARIOS_H_
 #define OOBP_SRC_RUNNER_PAPER_SCENARIOS_H_

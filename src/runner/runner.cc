@@ -6,8 +6,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
+#include <filesystem>
 #include <fstream>
 #include <thread>
+
+#include <unistd.h>
 
 #include "src/common/str_util.h"
 #include "src/runner/cluster_scenarios.h"
@@ -166,10 +169,11 @@ RunnerReport RunScenarios(const RunnerOptions& opts) {
       const std::string path =
           opts.output_dir + "/BENCH_" + run.scenario->name + ".json";
       std::ofstream out(path, std::ios::binary);
-      if (out) {
-        out << run.json;
-      } else if (opts.print) {
-        std::printf("warning: cannot write %s\n", path.c_str());
+      out << run.json;
+      out.close();
+      if (!out) {
+        std::fprintf(stderr, "bench: cannot write %s\n", path.c_str());
+        ++report.num_write_failures;
       }
     }
     if (opts.print) {
@@ -333,6 +337,15 @@ int BenchMain(int argc, char** argv) {
   if (list) {
     return ListScenarios();
   }
+  // Fail before any scenario runs, not after a whole (perf) pass.
+  std::error_code ec;
+  if (!opts.output_dir.empty() &&
+      (!std::filesystem::is_directory(opts.output_dir, ec) ||
+       access(opts.output_dir.c_str(), W_OK) != 0)) {
+    std::fprintf(stderr, "bench: --out directory '%s' is not writable\n",
+                 opts.output_dir.c_str());
+    return 2;
+  }
   if (perf) {
     if (filter_given) {
       perf_opts.filter = opts.filter;
@@ -345,24 +358,6 @@ int BenchMain(int argc, char** argv) {
   if (report.runs.empty()) {
     std::fprintf(stderr, "no scenario matches filter '%s'\n",
                  opts.filter.c_str());
-    return 2;
-  }
-  return report.ok() ? 0 : 1;
-}
-
-int RunStandaloneBench(const std::string& filter) {
-  RegisterPaperScenarios();
-  RegisterServeScenarios();
-  RegisterSweepScenarios();
-  RegisterFleetScenarios();
-  RegisterClusterScenarios();
-  RegisterSearchScenarios();
-  RunnerOptions opts;
-  opts.filter = filter;
-  opts.jobs = 1;
-  const RunnerReport report = RunScenarios(opts);
-  if (report.runs.empty()) {
-    std::fprintf(stderr, "no scenario matches filter '%s'\n", filter.c_str());
     return 2;
   }
   return report.ok() ? 0 : 1;

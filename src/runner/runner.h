@@ -5,7 +5,7 @@
 // is embarrassingly parallel; results are collected into registration-order
 // slots, which makes the emitted JSON byte-identical whatever --jobs is.
 //
-// CLI (wired as `oobp bench`, also behind the thin bench/ wrappers):
+// CLI (wired as `oobp bench`):
 //
 //   oobp bench --list
 //   oobp bench --filter='fig0[456]*' --jobs=8
@@ -13,8 +13,10 @@
 //   oobp bench --param k=3 --param batch=64
 //
 // Each scenario writes `<out>/BENCH_<scenario>.json`; --golden compares
-// results against `<golden>/<scenario>.json` tolerance files and the exit
-// code reports any scenario error or golden mismatch.
+// results against `<golden>/<scenario>.json` tolerance files. Exit codes:
+// 2 for a usage error, no matching scenario or an --out directory that is
+// not writable (checked before anything runs); 1 for any scenario error,
+// golden mismatch or failed file write; 0 otherwise.
 
 #ifndef OOBP_SRC_RUNNER_RUNNER_H_
 #define OOBP_SRC_RUNNER_RUNNER_H_
@@ -52,8 +54,10 @@ struct RunnerReport {
   std::vector<ScenarioRun> runs;  // registration order
   int num_scenario_failures = 0;
   int num_golden_failures = 0;
+  int num_write_failures = 0;  // BENCH_*.json files that could not be written
   bool ok() const {
-    return num_scenario_failures == 0 && num_golden_failures == 0;
+    return num_scenario_failures == 0 && num_golden_failures == 0 &&
+           num_write_failures == 0;
   }
 };
 
@@ -67,10 +71,6 @@ RunnerReport RunScenarios(const RunnerOptions& opts);
 // as the binary name and the "bench" subcommand are skipped), registers the
 // paper scenarios, and returns a process exit code.
 int BenchMain(int argc, char** argv);
-
-// Serial convenience used by the thin bench/ figure wrappers: registers the
-// paper scenarios, runs `filter`, prints, writes no files. Returns exit code.
-int RunStandaloneBench(const std::string& filter);
 
 }  // namespace oobp
 

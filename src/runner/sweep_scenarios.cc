@@ -26,8 +26,7 @@ namespace oobp {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Figure 13 (a/b): pipeline-parallel scaling on the Pub-B cluster. Shared
-// helpers mirror bench/fig13_scaling.cc, which is now a thin wrapper.
+// Figure 13 (a/b): pipeline-parallel scaling on the Pub-B cluster.
 
 PipelineEngine MakePubBEngine(int gpus, int micro_batches) {
   PipelineConfig config;
@@ -180,9 +179,8 @@ ScenarioResult AnaMegatron(const ScenarioParams&) {
   return result;
 }
 
-// Note: bench/ana_megatron.cc historically did NOT quarter fwd_blocks when
-// sharding the head, while fig13 did. The registry scenario uses the fig13
-// variant (WithShardedHead) for both so the cached model can be shared; the
+// Note: ana_megatron uses the fig13 sharded head (WithShardedHead, which
+// also quarters fwd_blocks) so the cached model can be shared; the
 // occupancy of one GEMM head has no measurable effect on these ratios.
 
 // ---------------------------------------------------------------------------

@@ -2,11 +2,10 @@
 // scenarios (label "sweep"), plus the long-horizon steady-state training
 // scenarios (label "steady") that exercise the iteration-replay fast path.
 //
-// The former standalone bench binaries for Figure 13 and the Section 8
-// analyses are thin wrappers over these registrations; hosting the sweep
-// loops here lets `oobp bench --jobs N` spread the scaling points over the
-// thread pool, puts them under the golden gate and the validator replay,
-// and shares model/cost-model construction through src/nn/model_cache.h.
+// Hosting the Figure 13 and Section 8 sweep loops here lets
+// `oobp bench --jobs N` spread the scaling points over the thread pool, puts
+// them under the golden gate and the validator replay, and shares
+// model/cost-model construction through src/nn/model_cache.h.
 
 #ifndef OOBP_SRC_RUNNER_SWEEP_SCENARIOS_H_
 #define OOBP_SRC_RUNNER_SWEEP_SCENARIOS_H_

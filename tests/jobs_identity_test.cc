@@ -1,10 +1,15 @@
 // Full-registry byte identity under the scenario thread pool (ctest labels:
 // golden, integration). Every registered scenario runs at --jobs 1 and at
 // --jobs 4 from a cold model cache; each BENCH JSON must be byte-equal
-// between the two passes, and every checked-in golden must be compared and
-// pass on both.
+// between the two passes, and every scenario's golden must be compared and
+// pass on both. Registered scenarios and bench/golden files must match one
+// to one: no scenario escapes the gate and no golden outlives its scenario.
 
 #include <gtest/gtest.h>
+
+#include <filesystem>
+#include <set>
+#include <string>
 
 #include "src/nn/model_cache.h"
 #include "src/runner/cluster_scenarios.h"
@@ -23,8 +28,6 @@ namespace oobp {
 namespace {
 
 constexpr const char* kGoldenDir = OOBP_REPO_ROOT "/bench/golden";
-// Scenarios with a checked-in golden under bench/golden.
-constexpr int kGoldenScenarios = 46;
 
 void RegisterAll() {
   RegisterPaperScenarios();
@@ -56,14 +59,35 @@ int GoldensCompared(const RunnerReport& report) {
   return compared;
 }
 
+TEST(JobsIdentityTest, GoldenFilesMatchRegisteredScenariosOneToOne) {
+  RegisterAll();
+  std::set<std::string> registered;
+  for (const Scenario& s : ScenarioRegistry::Global().scenarios()) {
+    registered.insert(s.name);
+    EXPECT_TRUE(std::filesystem::exists(GoldenPathFor(kGoldenDir, s.name)))
+        << s.name << " has no golden file";
+  }
+  for (const auto& entry : std::filesystem::directory_iterator(kGoldenDir)) {
+    const std::string name = entry.path().stem().string();
+    EXPECT_EQ(entry.path().extension(), ".json") << entry.path();
+    EXPECT_TRUE(registered.count(name) > 0)
+        << entry.path() << " names no registered scenario";
+    const auto spec = LoadGoldenFile(entry.path().string());
+    ASSERT_TRUE(spec.has_value()) << entry.path();
+    EXPECT_EQ(spec->scenario, name) << entry.path();
+  }
+}
+
 TEST(JobsIdentityTest, FullRegistryIsByteIdenticalAtJobs1And4) {
   RegisterAll();
+  const int scenarios =
+      static_cast<int>(ScenarioRegistry::Global().scenarios().size());
   const RunnerReport serial = RunPass(/*jobs=*/1);
   const RunnerReport parallel = RunPass(/*jobs=*/4);
   EXPECT_TRUE(serial.ok());
   EXPECT_TRUE(parallel.ok());
-  EXPECT_EQ(GoldensCompared(serial), kGoldenScenarios);
-  EXPECT_EQ(GoldensCompared(parallel), kGoldenScenarios);
+  EXPECT_EQ(GoldensCompared(serial), scenarios);
+  EXPECT_EQ(GoldensCompared(parallel), scenarios);
   ASSERT_EQ(serial.runs.size(), parallel.runs.size());
   ASSERT_FALSE(serial.runs.empty());
   for (size_t i = 0; i < serial.runs.size(); ++i) {

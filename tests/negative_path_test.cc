@@ -17,6 +17,7 @@
 #include "src/core/schedule_io.h"
 #include "src/nn/layer_builder.h"
 #include "src/nn/train_graph.h"
+#include "src/runner/paper_scenarios.h"
 #include "src/runner/runner.h"
 #include "src/validate/schedule_checker.h"
 
@@ -163,6 +164,46 @@ TEST(RunnerCliNegativeTest, UnknownFlagExitsNonzeroWithUsage) {
   EXPECT_EQ(rc, 2);
   EXPECT_NE(err.find("unknown flag --frobnicate"), std::string::npos) << err;
   EXPECT_NE(err.find("usage:"), std::string::npos) << err;
+}
+
+// An --out directory that cannot take the BENCH files fails with the usage
+// exit code before any scenario runs; with --perf that means before the
+// whole timed pass, not after it.
+TEST(RunnerCliNegativeTest, UnwritableOutDirExitsBeforeRunning) {
+  const std::string missing = testing::TempDir() + "/no_such_dir/nested";
+  for (const bool perf : {false, true}) {
+    std::vector<std::string> args = {"oobp", "bench", "--filter=fig05_mp_unit",
+                                     "--out=" + missing};
+    if (perf) {
+      args.push_back("--perf");
+    }
+    testing::internal::CaptureStdout();
+    testing::internal::CaptureStderr();
+    const int rc = CallBenchMain(args);
+    const std::string out = testing::internal::GetCapturedStdout();
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(rc, 2) << "perf=" << perf;
+    EXPECT_NE(err.find("is not writable"), std::string::npos) << err;
+    // Nothing ran: no scenario report, no perf row.
+    EXPECT_EQ(out.find("fig05_mp_unit"), std::string::npos) << out;
+  }
+}
+
+// A write that fails after the up-front check (here: a runner called
+// directly on a missing directory) fails the run instead of only warning.
+TEST(RunnerCliNegativeTest, FailedBenchFileWriteFailsTheRun) {
+  RegisterPaperScenarios();
+  RunnerOptions opts;
+  opts.filter = "fig05_mp_unit";
+  opts.output_dir = testing::TempDir() + "/no_such_dir/nested";
+  opts.print = false;
+  testing::internal::CaptureStderr();
+  const RunnerReport report = RunScenarios(opts);
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(report.num_scenario_failures, 0);
+  EXPECT_EQ(report.num_write_failures, 1);
+  EXPECT_FALSE(report.ok());
+  EXPECT_NE(err.find("cannot write"), std::string::npos) << err;
 }
 
 // The intra-scenario thread flag went away with the sharded simulator; old

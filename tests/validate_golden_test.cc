@@ -1,8 +1,8 @@
-// Replays every registered golden scenario — the 12 paper-figure training
-// scenarios, the 6 inference-serving scenarios, the 6 scaling/analysis
-// sweeps, the 3 steady-state replay scenarios, and the 2 parameter-server
-// cluster scenarios — with the SimValidator installed, asserting zero
-// invariant violations (ctest label: validate).
+// Replays every registered golden scenario — the 24 paper-figure and
+// ablation training scenarios, the 6 inference-serving scenarios, the 6
+// scaling/analysis sweeps, the 3 steady-state replay scenarios, and the 2
+// parameter-server cluster scenarios — with the SimValidator installed,
+// asserting zero invariant violations (ctest label: validate).
 // The 11 fleet scenarios are counted here but replayed under the validator
 // in fleet_golden_test.cc (which also pins their --jobs byte-identity), so
 // the suite does not pay for the multi-replica simulations twice.
@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 #include <vector>
 
@@ -27,6 +28,15 @@
 
 namespace oobp {
 namespace {
+
+// Scenarios that are purely analytic by design and so simulate no device
+// the validator could observe.
+const std::set<std::string> kAnalyticScenarios = {
+    "ana_corun",           // Section 8.2 reasons over co-run occupancy ratios
+    "fig01_kernel_issue",  // per-op issue and execution costs (cost model)
+    "fig08_regions",       // co-run profiler estimates + memory model
+    "fig09_memory",        // backprop memory curves (memory model)
+};
 
 TEST(ValidateGoldenTest, AllScenariosRunCleanUnderValidator) {
   RegisterPaperScenarios();
@@ -69,11 +79,9 @@ TEST(ValidateGoldenTest, AllScenariosRunCleanUnderValidator) {
         << scenario.name << ": " << validator.Summary();
     // A clean validator that saw no devices proves nothing; every scenario
     // simulates at least one validated device (the pipeline toys model
-    // stage compute analytically and only build Links) to completion. The
-    // one exception is ana_corun, whose CorunProfiler capacity analysis is
-    // purely analytic by design (Section 8.2 reasons over occupancy ratios,
-    // not event timelines).
-    if (scenario.name != "ana_corun") {
+    // stage compute analytically and only build Links) to completion,
+    // except the purely analytic ones listed above.
+    if (kAnalyticScenarios.count(scenario.name) == 0) {
       EXPECT_GT(validator.gpus_observed() + validator.links_observed(), 0)
           << scenario.name;
       EXPECT_GT(
@@ -86,11 +94,11 @@ TEST(ValidateGoldenTest, AllScenariosRunCleanUnderValidator) {
     total_transfers += validator.transfers_completed();
   }
 
-  // The registry must hold the full golden suite (12 train + 6 serve +
+  // The registry must hold the full golden suite (24 train + 6 serve +
   // 6 sweep + 3 steady + 11 fleet + 2 cluster); a silently missing
   // scenario would hollow out this test, and an unknown label would dodge
   // the per-group counts.
-  EXPECT_EQ(train, 12);
+  EXPECT_EQ(train, 24);
   EXPECT_EQ(serve, 6);
   EXPECT_EQ(sweep, 6);
   EXPECT_EQ(steady, 3);

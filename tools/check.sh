@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # One-shot health check, eight tiers:
-#   1. Release build: unit-test tier + unit-time toy scenarios vs goldens.
+#   1. Release build: unit-test tier + every registered scenario (all
+#      paper figures, ablations, serve/sweep/steady/fleet/cluster/search)
+#      vs its golden.
 #   2. ASan+UBSan build (-DOOBP_SANITIZE=ON): unit-test tier under the
 #      sanitizers (catches lifetime bugs in the event slab / callback moves).
 #   3. Serve: serve-labeled ctest tier + the serve_* scenarios against their
@@ -71,7 +73,7 @@ cmake --build "${BUILD_DIR}" -j"$(nproc)"
 
 ctest --test-dir "${BUILD_DIR}" -L unit --output-on-failure
 
-"${BUILD_DIR}/tools/oobp" bench --filter 'fig0[456]*' --jobs 0 \
+"${BUILD_DIR}/tools/oobp" bench --filter '*' --jobs 0 \
     --out "${BUILD_DIR}" --golden "${REPO_ROOT}/bench/golden"
 
 # --- Tier 2: ASan + UBSan unit tests -------------------------------------
